@@ -26,7 +26,8 @@ checked by the integration tests.
 
 from __future__ import annotations
 
-import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -37,14 +38,16 @@ from repro.core.coordination import scope_is_global
 from repro.core.failure_modes import FAILURE_MODES
 from repro.core.maneuvers import (
     ESCALATION_LADDER,
+    FAILURE_MODE_RUNG,
+    RUNG_LETTER,
+    RUNG_PRIORITY,
     Maneuver,
-    escalate_request,
-    maneuver_for_failure_mode,
-    next_on_failure,
+    grant_rung,
 )
 from repro.core.parameters import AHSParameters
-from repro.core.severity import SeverityCounts, catastrophic_situation
+from repro.core.severity import catastrophic_situation_counts
 from repro.ctmc import CTMC, stationary_distribution, transient_distribution
+from repro.runtime.cache import cache_key
 
 __all__ = ["OccupancyChain", "FailureLevelChain", "AnalyticalEngine", "AnalyticalResult"]
 
@@ -167,23 +170,17 @@ class OccupancyChain:
 # failure layer
 # ----------------------------------------------------------------------
 #: frozen failure-level state: counts of active maneuvers, indexed
-#: [maneuver][platoon]; plus the two sink ids below.
+#: [platoon][rung]; plus the two sink ids below.
 _KO = "KO"
 _TRUNC = "TRUNC"
 
 
-def _severity_of(state: tuple[tuple[int, ...], tuple[int, ...]]) -> SeverityCounts:
-    a = b = c = 0
-    for m_index, maneuver in enumerate(MANEUVER_ORDER):
-        count = state[0][m_index] + state[1][m_index]
-        letter = maneuver.severity.letter
-        if letter == "A":
-            a += count
-        elif letter == "B":
-            b += count
-        else:
-            c += count
-    return SeverityCounts(a, b, c)
+def _class_counts(state) -> tuple[int, int, int]:
+    """Active failures per severity letter ``(A, B, C)`` over both platoons."""
+    counts = [0, 0, 0]
+    for rung, letter in enumerate(RUNG_LETTER):
+        counts[letter] += state[0][rung] + state[1][rung]
+    return counts[0], counts[1], counts[2]
 
 
 def _active_total(state) -> int:
@@ -234,14 +231,15 @@ class FailureLevelChain:
         self._build()
 
     # ------------------------------------------------------------------
-    def _scope_maneuvers(self, state, platoon: int) -> list[Maneuver]:
-        """Active maneuvers a new request in ``platoon`` must defer to."""
+    def _ceiling(self, state, platoon: int) -> int:
+        """Highest priority a new request in ``platoon`` must defer to."""
         platoons = (0, 1) if scope_is_global(self.params.strategy) else (platoon,)
-        active: list[Maneuver] = []
+        ceiling = 0
         for p in platoons:
-            for m_index, maneuver in enumerate(MANEUVER_ORDER):
-                active.extend([maneuver] * state[p][m_index])
-        return active
+            for rung, count in enumerate(state[p]):
+                if count and RUNG_PRIORITY[rung] > ceiling:
+                    ceiling = RUNG_PRIORITY[rung]
+        return ceiling
 
     def _busy_fraction(self, state) -> float:
         occ_total = self.occupancies[0] + self.occupancies[1]
@@ -261,16 +259,15 @@ class FailureLevelChain:
             exposed = max(occ[platoon] - active_here, 0.0)
             if exposed <= 0.0:
                 continue
-            scope = self._scope_maneuvers(state, platoon)
-            for fm in FAILURE_MODES:
+            ceiling = self._ceiling(state, platoon)
+            for fm, requested in zip(FAILURE_MODES, FAILURE_MODE_RUNG):
                 rate = params.failure_mode_rate(fm) * exposed
-                requested = maneuver_for_failure_mode(fm)
-                granted = escalate_request(requested, scope)
-                successor = self._after_activation(state, platoon, granted)
-                moves.append((successor, rate))
+                granted = grant_rung(requested, ceiling)
+                moves.append((self._activate(state, platoon, granted), rate))
 
         # --- maneuver completions ----------------------------------------
         busy = self._busy_fraction(state)
+        last_rung = len(MANEUVER_ORDER) - 1
         for platoon in (0, 1):
             occ_own = max(occ[platoon], 1.0)
             occ_nb = occ[1 - platoon]
@@ -286,26 +283,22 @@ class FailureLevelChain:
                 cleared = _with_delta(state, platoon, m_index, -1)
                 moves.append((cleared, rate * p_success))
                 # failure: escalate along the ladder (or expel at v_KO)
-                follow_up = next_on_failure(maneuver)
-                if follow_up is None:
+                if m_index == last_rung:
                     # AS failed: vehicle becomes a free agent (expelled);
                     # its failure no longer threatens the platoons
                     moves.append((cleared, rate * (1.0 - p_success)))
                 else:
-                    scope = [
-                        m
-                        for m in self._scope_maneuvers(cleared, platoon)
-                    ]
-                    granted = escalate_request(follow_up, scope)
-                    escalated = self._after_activation(cleared, platoon, granted)
+                    granted = grant_rung(
+                        m_index + 1, self._ceiling(cleared, platoon)
+                    )
+                    escalated = self._activate(cleared, platoon, granted)
                     moves.append((escalated, rate * (1.0 - p_success)))
         return moves
 
-    def _after_activation(self, state, platoon: int, maneuver: Maneuver):
+    def _activate(self, state, platoon: int, rung: int):
         """Successor after a maneuver becomes active (KO/TRUNC aware)."""
-        m_index = MANEUVER_ORDER.index(maneuver)
-        successor = _with_delta(state, platoon, m_index, +1)
-        if catastrophic_situation(_severity_of(successor)) is not None:
+        successor = _with_delta(state, platoon, rung, +1)
+        if catastrophic_situation_counts(*_class_counts(successor)) is not None:
             return _KO
         if _active_total(successor) > self.max_concurrent:
             return _TRUNC
@@ -381,47 +374,104 @@ class AnalyticalResult:
         return float(self.unsafety[matches[0]])
 
 
-class AnalyticalEngine:
-    """End-to-end numerical evaluation of S(t) for a parameter set."""
+#: Chain builds kept across engines, least recently used evicted first.
+_BUILD_CACHE_SIZE = 64
+#: Transient curves kept per build, keyed by the exact requested times.
+_CURVE_CACHE_SIZE = 16
 
-    def __init__(
-        self, params: AHSParameters, max_concurrent: int = 4
-    ) -> None:
-        self.params = params
-        self.occupancy = OccupancyChain(params)
-        occ1, occ2, transit = self.occupancy.expected_occupancies()
-        self._occupancies = (occ1, occ2, transit)
+
+class _Build:
+    """What one parameter set costs to solve, kept for reuse.
+
+    Only the expected occupancies and the failure-level chain are kept;
+    the occupancy chain is dropped once its stationary law is solved.
+    """
+
+    def __init__(self, params: AHSParameters, max_concurrent: int) -> None:
+        occ1, occ2, transit = OccupancyChain(params).expected_occupancies()
+        self.occupancies = (occ1, occ2, transit)
         # Transiting vehicles ride inside platoon 1 (paper §4.1: 3-4 min
         # there before exiting), so they are exposed to failures and count
         # as platoon-1 members for coordination purposes.
         self.failure_chain = FailureLevelChain(
             params, (occ1 + transit, occ2), max_concurrent
         )
+        #: times bytes -> (S(t), truncation bound), most recent last
+        self.curves: OrderedDict[bytes, tuple[np.ndarray, np.ndarray]] = (
+            OrderedDict()
+        )
+
+
+_BUILDS: OrderedDict[str, _Build] = OrderedDict()
+_MEMO_LOCK = threading.Lock()
+
+
+def _remember(memo: OrderedDict, key, make, bound: int):
+    """LRU lookup: the entry under ``key``, built by ``make()`` on a miss."""
+    with _MEMO_LOCK:
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = make()
+            if len(memo) > bound:
+                memo.popitem(last=False)
+        else:
+            memo.move_to_end(key)
+        return entry
+
+
+class AnalyticalEngine:
+    """End-to-end numerical evaluation of S(t) for a parameter set.
+
+    Engines with content-equal parameters share one chain build and its
+    solved curves (see docs/engine_perf.md, "Analytical path cost"); the
+    key is the canonical fingerprint of ``(params, max_concurrent)``, so
+    any differing field misses.  The shared ``failure_chain`` is
+    read-only; every :class:`AnalyticalResult` owns its arrays.
+    """
+
+    def __init__(
+        self, params: AHSParameters, max_concurrent: int = 4
+    ) -> None:
+        self.params = params
+        self._build = _remember(
+            _BUILDS,
+            cache_key((params, max_concurrent)),
+            lambda: _Build(params, max_concurrent),
+            _BUILD_CACHE_SIZE,
+        )
+        self.failure_chain = self._build.failure_chain
 
     @property
     def expected_occupancies(self) -> tuple[float, float, float]:
         """Quasi-stationary ``(E[occ1], E[occ2], E[transit])``."""
-        return self._occupancies
+        return self._build.occupancies
 
     def unsafety(self, times: Sequence[float]) -> AnalyticalResult:
         """Compute S(t) = P(KO by t) at the requested times."""
         times_arr = np.asarray(list(times), dtype=float)
-        chain = self.failure_chain.chain
-        distributions = transient_distribution(chain, times_arr)
-        ko = self.failure_chain.ko_index
-        trunc = self.failure_chain.trunc_index
-        unsafety = (
-            distributions[:, ko] if ko is not None else np.zeros(times_arr.size)
-        )
-        truncation = (
-            distributions[:, trunc]
-            if trunc is not None
-            else np.zeros(times_arr.size)
+        unsafety, truncation = _remember(
+            self._build.curves,
+            times_arr.tobytes(),
+            lambda: self._solve(times_arr),
+            _CURVE_CACHE_SIZE,
         )
         return AnalyticalResult(
             times=times_arr,
-            unsafety=np.asarray(unsafety, dtype=float),
-            truncation_error=np.asarray(truncation, dtype=float),
-            occupancies=self._occupancies,
-            n_states=chain.n_states,
+            unsafety=unsafety.copy(),
+            truncation_error=truncation.copy(),
+            occupancies=self._build.occupancies,
+            n_states=self.failure_chain.chain.n_states,
+        )
+
+    def _solve(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        distributions = transient_distribution(self.failure_chain.chain, times)
+
+        def column(index: Optional[int]) -> np.ndarray:
+            if index is None:
+                return np.zeros(times.size)
+            return distributions[:, index].copy()
+
+        return (
+            column(self.failure_chain.ko_index),
+            column(self.failure_chain.trunc_index),
         )

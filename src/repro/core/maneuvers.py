@@ -45,6 +45,10 @@ __all__ = [
     "maneuver_for_failure_mode",
     "next_on_failure",
     "escalate_request",
+    "RUNG_PRIORITY",
+    "RUNG_LETTER",
+    "FAILURE_MODE_RUNG",
+    "grant_rung",
 ]
 
 
@@ -116,6 +120,14 @@ DEFAULT_MANEUVER_RATES: dict[Maneuver, float] = {
 
 _BY_NAME = {m.value: m for m in Maneuver}
 
+# Consistency guard: Table 1's maneuver names must all resolve.
+for _fm in FAILURE_MODES:
+    if _fm.maneuver_name not in _BY_NAME:
+        raise RuntimeError(
+            f"failure mode {_fm.fm_id} references unknown maneuver "
+            f"{_fm.maneuver_name!r}"
+        )
+
 
 def maneuver_for_failure_mode(failure_mode: FailureMode) -> Maneuver:
     """The Table-1 maneuver associated with a failure mode."""
@@ -130,6 +142,36 @@ def next_on_failure(maneuver: Maneuver) -> Optional[Maneuver]:
     return ESCALATION_LADDER[index + 1]
 
 
+#: Rung tables over ``ESCALATION_LADDER`` indices, for code that works on
+#: integer rungs (the lumped chain) rather than on :class:`Maneuver`.
+#: Priority rank of each rung (non-decreasing along the ladder).
+RUNG_PRIORITY: tuple[int, ...] = tuple(m.priority for m in ESCALATION_LADDER)
+#: Severity-letter index of each rung: A=0, B=1, C=2.
+RUNG_LETTER: tuple[int, ...] = tuple(
+    "ABC".index(m.severity.letter) for m in ESCALATION_LADDER
+)
+#: Rung of the Table-1 maneuver of each failure mode, in FM order.
+FAILURE_MODE_RUNG: tuple[int, ...] = tuple(
+    ESCALATION_LADDER.index(maneuver_for_failure_mode(fm)) for fm in FAILURE_MODES
+)
+_RUNG: dict[Maneuver, int] = {m: i for i, m in enumerate(ESCALATION_LADDER)}
+
+
+def grant_rung(requested: int, ceiling: int) -> int:
+    """The request-escalation rule (paper §2.1.2) on ladder indices.
+
+    The granted rung is the first one at or above ``requested`` whose
+    priority is ≥ ``ceiling``, the highest priority active in the
+    coordination scope (0 for an empty scope).
+    """
+    for rung in range(requested, len(ESCALATION_LADDER)):
+        if RUNG_PRIORITY[rung] >= ceiling:
+            return rung
+    # AS has the maximum priority, so the loop always returns by its last
+    # iteration; this is unreachable but keeps the function total.
+    return len(ESCALATION_LADDER) - 1
+
+
 def escalate_request(
     requested: Maneuver, active_in_scope: Iterable[Maneuver]
 ) -> Maneuver:
@@ -137,25 +179,8 @@ def escalate_request(
 
     The granted maneuver is the first ladder rung at or above the requested
     one whose priority is ≥ the highest active priority in the coordination
-    scope (paper §2.1.2).  With an empty scope the request is granted as is.
+    scope (:func:`grant_rung`).  With an empty scope the request is granted
+    as is.
     """
-    ceiling = 0
-    for active in active_in_scope:
-        if active.priority > ceiling:
-            ceiling = active.priority
-    start = ESCALATION_LADDER.index(requested)
-    for candidate in ESCALATION_LADDER[start:]:
-        if candidate.priority >= ceiling:
-            return candidate
-    # AS has the maximum priority, so the loop always returns by its last
-    # iteration; this is unreachable but keeps the function total.
-    return Maneuver.AS
-
-
-# Consistency guard: Table 1's maneuver names must all resolve.
-for _fm in FAILURE_MODES:
-    if _fm.maneuver_name not in _BY_NAME:
-        raise RuntimeError(
-            f"failure mode {_fm.fm_id} references unknown maneuver "
-            f"{_fm.maneuver_name!r}"
-        )
+    ceiling = max((active.priority for active in active_in_scope), default=0)
+    return ESCALATION_LADDER[grant_rung(_RUNG[requested], ceiling)]

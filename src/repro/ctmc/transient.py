@@ -38,6 +38,16 @@ def _truncation_point(rate: float, tol: float) -> int:
     return int(rate + 10.0 * math.sqrt(rate) + 20.0)
 
 
+def _transposed_step(chain: CTMC, lam: float):
+    """``Pᵀ`` for the uniformized DTMC, so a step is ``v ← Pᵀ v``.
+
+    scipy evaluates ``v @ P`` for a 1-D ``v`` as ``P.transpose() @ v``,
+    transposing the matrix on every call; transposing once up front runs
+    the very same CSC product, so the iterates are bit-identical.
+    """
+    return chain.embedded_dtmc(lam).transpose()
+
+
 def transient_distribution(
     chain: CTMC,
     times: Sequence[float],
@@ -78,7 +88,7 @@ def transient_distribution(
 
     # Slight inflation of Λ improves numerical behaviour of P's diagonal.
     lam *= 1.0 + 1e-9
-    transition = chain.embedded_dtmc(lam)
+    transition_t = _transposed_step(chain, lam)
 
     rates = lam * times_arr
     k_max = max(_truncation_point(float(r), tol) for r in rates)
@@ -107,7 +117,7 @@ def transient_distribution(
             if float(np.abs(v - previous).sum()) < steady_tol:
                 break
         previous = v
-        v = v @ transition
+        v = transition_t @ v
         # Guard tiny negative round-off so probabilities stay probabilities.
         np.clip(v, 0.0, None, out=v)
 
@@ -152,7 +162,7 @@ def accumulated_reward(
         return float(chain.initial @ reward) * times_arr
 
     lam *= 1.0 + 1e-9
-    transition = chain.embedded_dtmc(lam)
+    transition_t = _transposed_step(chain, lam)
     rates = lam * times_arr
     k_max = max(_truncation_point(float(r), tol) for r in rates)
     log_rates = np.where(rates > 0, np.log(np.maximum(rates, 1e-300)), 0.0)
@@ -177,7 +187,7 @@ def accumulated_reward(
         result += survival * float(v @ reward)
         if (survival <= tol).all():
             break
-        v = v @ transition
+        v = transition_t @ v
         np.clip(v, 0.0, None, out=v)
     return result / lam
 

@@ -128,7 +128,8 @@ class LedgerStatus:
         elif name == "CacheMiss":
             self.cache_misses += 1
         elif name == "RoundAllocated":
-            self.rounds = max(self.rounds, int(data.get("round", 0)))
+            # ``round`` is a 0-based index; ``rounds`` counts them
+            self.rounds = max(self.rounds, int(data.get("round", 0)) + 1)
             self.round_spent = int(data.get("spent", self.round_spent))
             if data.get("widest_relative_ci") is not None:
                 self.widest_relative_ci = float(data["widest_relative_ci"])

@@ -233,7 +233,9 @@ def metrics_from_events(events: Iterable[dict]) -> str:
         elif name == "CacheMiss":
             totals["misses"] += 1
         elif name == "RoundAllocated":
-            totals["rounds"] = max(totals["rounds"], int(data.get("round", 0)))
+            totals["rounds"] = max(
+                totals["rounds"], int(data.get("round", 0)) + 1
+            )
         elif name == "BudgetStopped":
             reason = str(data.get("reason", "unknown"))
             stop_reasons[reason] = stop_reasons.get(reason, 0) + 1

@@ -697,11 +697,15 @@ class Orchestrator:
                 halves = tuple(float(iv.half_width) for iv in intervals)
                 n = pooled.n
                 events = pooled.events
-            converged = (
-                state.converged
-                if self.budget.target_relative_ci is not None
-                else True
-            )
+            # three-valued: True/False against the target CI, None when
+            # there was no target to reach (a point never sampled stays
+            # False: it serves the surrogate)
+            if pooled is None:
+                converged = False
+            elif self.budget.target_relative_ci is None:
+                converged = None
+            else:
+                converged = state.converged
             reports.append(
                 PointReport(
                     point_id=state.point.point_id,
@@ -713,7 +717,7 @@ class Orchestrator:
                     half_widths=halves,
                     confidence=self.budget.confidence,
                     n_replications=n,
-                    converged=converged and pooled is not None,
+                    converged=converged,
                     events=events,
                     surrogate=tuple(surrogate),
                 )

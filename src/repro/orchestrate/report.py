@@ -13,6 +13,10 @@ parses a single schema:
      "confidence": 0.95, "n_replications": 4096,
      "converged": true, "source": "orchestrate"}
 
+``converged`` is ``null`` when the run had no target CI; orchestrator
+records also carry ``status`` (``converged``, ``budget-stop`` or
+``no-target``), the word the report table prints.
+
 The report classes record *why* each point holds its estimate: the
 surrogate prior that selected its estimator, every round's award, and the
 budget ledger that ended the run.
@@ -41,7 +45,7 @@ def estimate_record(
     half_widths: Optional[Sequence[float]] = None,
     confidence: Optional[float] = None,
     n_replications: int = 0,
-    converged: bool = True,
+    converged: Optional[bool] = True,
     source: str = "",
     label: str = "",
 ) -> dict:
@@ -50,6 +54,7 @@ def estimate_record(
     ``relative_ci`` is derived from the *last* time point (the horizon,
     where the CI is widest for monotone unsafety) and is ``None`` for
     deterministic estimators and unobserved (zero-mean) estimates.
+    ``converged`` is ``None`` when the run had no target CI to reach.
     """
     times = [float(t) for t in times]
     values = [float(v) for v in values]
@@ -81,9 +86,13 @@ def estimate_record(
         "relative_ci": relative,
         "confidence": confidence,
         "n_replications": int(n_replications),
-        "converged": bool(converged),
+        "converged": None if converged is None else bool(converged),
         "source": source,
     }
+
+
+#: report-table status of a point's ``converged`` value
+_STATUS = {True: "converged", False: "budget-stop", None: "no-target"}
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,8 @@ class PointReport:
     half_widths: Optional[tuple[float, ...]]
     confidence: float
     n_replications: int
-    converged: bool
+    #: whether the target CI was reached; None when there was no target
+    converged: Optional[bool]
     #: pooled simulator events charged to this point (0 for analytical)
     events: int = 0
     #: surrogate curve used for warm-starting (may be empty)
@@ -153,6 +163,7 @@ class PointReport:
             source="orchestrate",
         )
         record["reason"] = self.reason
+        record["status"] = _STATUS[self.converged]
         record["events"] = self.events
         if self.surrogate:
             record["surrogate"] = [float(v) for v in self.surrogate]
@@ -176,6 +187,7 @@ class OrchestrationReport:
 
     @property
     def all_converged(self) -> bool:
+        """True only when every point reached its target (or is exact)."""
         return all(p.converged for p in self.points)
 
     def point(self, point_id: str) -> PointReport:
@@ -219,7 +231,7 @@ class OrchestrationReport:
             value = point.values[-1] if point.values else math.nan
             relative = point.relative_ci
             rel_text = "-" if relative is None else f"{relative:7.2%}"
-            status = "converged" if point.converged else "budget-stop"
+            status = _STATUS[point.converged]
             lines.append(
                 f"{point.label:<28.28} {point.estimator:<12} "
                 f"{point.n_replications:>8} {value:>12.4e} {rel_text:>8}  "

@@ -61,14 +61,14 @@ class TestFailureLevelChain:
         assert chain.trunc_index is None
 
     def test_no_catastrophic_tangible_states(self, default_params):
-        from repro.core.analytical import _severity_of
-        from repro.core import catastrophic_situation
+        from repro.core.analytical import _class_counts
+        from repro.core.severity import catastrophic_situation_counts
 
         chain = FailureLevelChain(default_params, (9.5, 9.5))
         for state in chain.states:
             if state in ("KO", "TRUNC"):
                 continue
-            assert catastrophic_situation(_severity_of(state)) is None
+            assert catastrophic_situation_counts(*_class_counts(state)) is None
 
     def test_ko_absorbing(self, default_params):
         chain = FailureLevelChain(default_params, (9.5, 9.5))
@@ -155,4 +155,131 @@ class TestAnalyticalEngine:
         total_err = a.truncation_error[0]
         assert a.unsafety[0] == pytest.approx(
             b.unsafety[0], rel=1e-6, abs=total_err + 1e-15
+        )
+
+
+class TestRungTables:
+    @staticmethod
+    def reference_grant(requested, scope):
+        """§2.1.2 spelled out on the enum: first rung ≥ requested that
+        reaches the highest active priority."""
+        from repro.core.maneuvers import ESCALATION_LADDER
+
+        ceiling = max((m.severity.rank for m in scope), default=0)
+        start = ESCALATION_LADDER.index(requested)
+        return next(
+            m for m in ESCALATION_LADDER[start:] if m.severity.rank >= ceiling
+        )
+
+    @pytest.mark.parametrize("strategy", [Strategy.DD, Strategy.CD])
+    def test_chain_grant_matches_escalate_request(self, strategy):
+        from itertools import combinations_with_replacement
+
+        from repro.core.analytical import MANEUVER_ORDER
+        from repro.core.maneuvers import escalate_request, grant_rung
+
+        chain = FailureLevelChain(AHSParameters(strategy=strategy), (9.5, 9.5))
+        for size in range(5):
+            for scope in combinations_with_replacement(MANEUVER_ORDER, size):
+                own = [0] * len(MANEUVER_ORDER)
+                for maneuver in scope:
+                    own[MANEUVER_ORDER.index(maneuver)] += 1
+                empty = (0,) * len(MANEUVER_ORDER)
+                # DD: the scope is the own platoon; CD: the scope is global,
+                # so the same multiset held by the other platoon counts too
+                states = [(tuple(own), empty)]
+                if strategy is Strategy.CD:
+                    states.append((empty, tuple(own)))
+                for state in states:
+                    ceiling = chain._ceiling(state, 0)
+                    for rung, requested in enumerate(MANEUVER_ORDER):
+                        granted = MANEUVER_ORDER[grant_rung(rung, ceiling)]
+                        assert granted is escalate_request(requested, scope)
+                        assert granted is self.reference_grant(requested, scope)
+
+    def test_class_counts_match_severity_counts(self):
+        from itertools import combinations_with_replacement
+
+        from repro.core.analytical import MANEUVER_ORDER, _class_counts
+        from repro.core.severity import SeverityCounts
+
+        for size in range(5):
+            for active in combinations_with_replacement(MANEUVER_ORDER, size):
+                vec = [0] * len(MANEUVER_ORDER)
+                for maneuver in active:
+                    vec[MANEUVER_ORDER.index(maneuver)] += 1
+                split = (tuple(vec[:3]) + (0,) * 3, (0,) * 3 + tuple(vec[3:]))
+                counts = SeverityCounts.from_active_maneuvers(active)
+                assert _class_counts(split) == (counts.a, counts.b, counts.c)
+
+
+class TestBuildMemo:
+    def test_content_equal_params_share_one_build(self):
+        first = AnalyticalEngine(AHSParameters(max_platoon_size=6))
+        second = AnalyticalEngine(AHSParameters(max_platoon_size=6))
+        assert first.params is not second.params
+        assert first.failure_chain is second.failure_chain
+        a = first.unsafety([1.0, 6.0])
+        b = second.unsafety([1.0, 6.0])
+        assert np.array_equal(a.unsafety, b.unsafety)
+        assert np.array_equal(a.truncation_error, b.truncation_error)
+        assert a.occupancies == b.occupancies
+
+    def test_with_changes_misses(self):
+        from repro.core import analytical
+
+        base = AHSParameters(max_platoon_size=6)
+        engine = AnalyticalEngine(base)
+        changed = AnalyticalEngine(base.with_changes(assistant_reliability=0.9))
+        assert changed.failure_chain is not engine.failure_chain
+        assert changed.unsafety([6.0]).unsafety[0] != engine.unsafety(
+            [6.0]
+        ).unsafety[0]
+        key = analytical.cache_key((base.with_changes(assistant_reliability=0.9), 4))
+        assert key in analytical._BUILDS
+
+    def test_in_place_parameter_edit_misses(self):
+        from repro.core.maneuvers import Maneuver
+
+        params = AHSParameters(max_platoon_size=5)
+        before = AnalyticalEngine(params).unsafety([6.0]).unsafety[0]
+        params.maneuver_rates[Maneuver.AS] = 7.5
+        after = AnalyticalEngine(params)
+        assert after.unsafety([6.0]).unsafety[0] != before
+
+    def test_max_concurrent_is_part_of_the_key(self):
+        params = AHSParameters(max_platoon_size=5)
+        k3 = AnalyticalEngine(params, max_concurrent=3)
+        k4 = AnalyticalEngine(params, max_concurrent=4)
+        assert k3.failure_chain.max_concurrent == 3
+        assert k4.failure_chain.max_concurrent == 4
+
+    def test_results_are_copies(self):
+        engine = AnalyticalEngine(AHSParameters(max_platoon_size=6))
+        first = engine.unsafety([2.0, 6.0])
+        expected = first.unsafety.copy()
+        first.unsafety[:] = -1.0
+        first.truncation_error[:] = -1.0
+        again = AnalyticalEngine(AHSParameters(max_platoon_size=6)).unsafety(
+            [2.0, 6.0]
+        )
+        assert np.array_equal(again.unsafety, expected)
+        assert (again.truncation_error >= 0.0).all()
+
+    def test_memos_stay_bounded(self):
+        from repro.core import analytical
+        from repro.core.design import max_trip_duration
+
+        params = AHSParameters(max_platoon_size=4, base_failure_rate=1e-3)
+        # a fine tolerance bisects through more distinct times than the
+        # curve memo holds
+        max_trip_duration(params, 1e-4, tolerance_hours=1e-3)
+        build = AnalyticalEngine(params)._build
+        assert len(build.curves) == analytical._CURVE_CACHE_SIZE
+        for lam in np.linspace(1e-4, 2e-4, analytical._BUILD_CACHE_SIZE + 5):
+            AnalyticalEngine(AHSParameters(max_platoon_size=2, base_failure_rate=lam))
+        assert len(analytical._BUILDS) == analytical._BUILD_CACHE_SIZE
+        assert all(
+            len(b.curves) <= analytical._CURVE_CACHE_SIZE
+            for b in analytical._BUILDS.values()
         )

@@ -7,7 +7,7 @@ from repro.core.analytical import (
     MANEUVER_ORDER,
     FailureLevelChain,
     OccupancyChain,
-    _severity_of,
+    _class_counts,
 )
 from repro.core.maneuvers import Maneuver
 
@@ -122,5 +122,6 @@ class TestFailureLevelTransitions:
 
     def test_severity_of(self):
         state = state_with(0, Maneuver.GS, 2)
-        counts = _severity_of(state)
-        assert (counts.a, counts.b, counts.c) == (2, 0, 0)
+        assert _class_counts(state) == (2, 0, 0)
+        mixed = (state[0], state_with(1, Maneuver.TIE_E)[1])
+        assert _class_counts(mixed) == (2, 1, 0)

@@ -95,6 +95,36 @@ class TestRunLedger:
         assert status["units_total"] == 8
         assert status["chunks_completed"] == 2
 
+    def test_status_rounds_match_the_orchestration_report(self, tmp_path):
+        from repro.core import AHSParameters
+        from repro.orchestrate import (
+            Budget,
+            EstimatorPolicy,
+            SweepPoint,
+            orchestrate,
+        )
+        from repro.runtime import ParallelRunner
+
+        point = SweepPoint(
+            "hot", AHSParameters(base_failure_rate=2e-2, max_platoon_size=2),
+            (1.0,),
+        )
+        path = tmp_path / "run.jsonl"
+        runner = ParallelRunner(workers=1, chunk_size=32)
+        try:
+            with RunLedger(path) as ledger:
+                with EventBus("run-r", sinks=[ledger]) as bus:
+                    report = orchestrate(
+                        [point], Budget(replications=128), runner,
+                        estimator_policy=EstimatorPolicy(forced="simulation"),
+                        seed=3, events=bus,
+                    )
+        finally:
+            runner.close()
+        status = json.loads((tmp_path / "run.jsonl.status.json").read_text())
+        assert len(report.rounds) >= 2
+        assert status["rounds"] == len(report.rounds)
+
     def test_status_rewrites_are_throttled_but_final_on_finish(self, tmp_path):
         ticks = iter([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
         writes = []

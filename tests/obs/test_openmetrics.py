@@ -82,7 +82,8 @@ class TestEventsExport:
         assert 'repro_cache_lookups_total{result="miss"} 1' in text
         assert "repro_sim_events_total 150" in text
         assert "repro_rng_draws_total 120" in text
-        assert "repro_rounds_total 2" in text
+        # RoundAllocated(round=2) is the third round (0-based index)
+        assert "repro_rounds_total 3" in text
         assert "repro_workers 2" in text
         assert 'repro_run_finished{outcome="ok"} 1' in text
         assert (

@@ -381,3 +381,24 @@ class TestReportShape:
         assert "orchestration: policy=greedy" in text
         assert "allocation trace:" in text
         assert "hot" in text and "warm" in text
+
+
+class TestHonestStatus:
+    def test_no_target_reports_no_target(self):
+        report = run(workers=1, budget=Budget(replications=128))
+        assert [p.converged for p in report.points] == [None, None]
+        assert not report.all_converged
+        record = json.loads(json.dumps(report.to_dict()))
+        for point in record["points"]:
+            assert point["converged"] is None
+            assert point["status"] == "no-target"
+        rows = [line for line in report.format().splitlines()
+                if line.startswith(("hot", "warm"))]
+        assert len(rows) == 2
+        assert all(row.endswith("no-target") for row in rows)
+
+    def test_target_keeps_two_valued_status(self):
+        report = run(workers=1)
+        assert all(isinstance(p.converged, bool) for p in report.points)
+        statuses = {p["status"] for p in report.to_dict()["points"]}
+        assert statuses <= {"converged", "budget-stop"}
