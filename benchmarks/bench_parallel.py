@@ -18,10 +18,14 @@ from repro.core.parameters import AHSParameters
 from repro.core.partasks import UnsafetySimulationTask
 from repro.runtime import ParallelRunner, ResultCache
 
-#: λ inflated to 1e-2/hr so 600 replications produce non-zero estimates
+#: λ inflated to 1e-2/hr so 600 replications produce non-zero estimates;
+#: pinned to the scalar compiled kernel (the task default is the stepped
+#: batch engine) so the per-chunk work, and hence the scaling measured
+#: here, stays comparable across revisions
 WORKLOAD = UnsafetySimulationTask(
     params=AHSParameters(max_platoon_size=4, base_failure_rate=1e-2),
     times=(0.5, 1.0, 2.0),
+    engine="compiled",
 )
 N_REPLICATIONS = 600
 CHUNK_SIZE = 100

@@ -140,10 +140,10 @@ class KernelIR:
         }
 
     def digest(self) -> str:
-        """Content address of the IR (same keyspace as the result cache)."""
-        from repro.runtime.cache import cache_key
+        """Content address of the IR: moves only when the IR itself does."""
+        from repro.runtime.cache import content_key
 
-        return cache_key({"kind": "lowering-ir", "ir": self.to_dict()})
+        return content_key({"kind": "lowering-ir", "ir": self.to_dict()})
 
 
 def _probe_markings(compiled, probe: np.ndarray) -> list:

@@ -175,15 +175,16 @@ def build_parser() -> argparse.ArgumentParser:
         default="compiled",
         choices=list(ENGINES),
         help="jump-chain executor for the simulation methods "
-        "(seed-identical results; compiled is several times faster; "
-        "batched advances replications in NumPy lockstep)",
+        "(seed-identical results; compiled runs one replication per call; "
+        "batched and stepped advance a batch of replications in NumPy, "
+        "stepped the fastest)",
     )
     uns.add_argument(
         "--batch-size",
         type=int,
         default=256,
-        help="lockstep width for --engine batched (throughput knob only; "
-        "results are bit-identical at any width)",
+        help="batch width for --engine batched or stepped (throughput knob "
+        "only; results are bit-identical at any width)",
     )
     uns.add_argument(
         "--metrics",
@@ -267,9 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     orch.add_argument(
         "--engine",
-        default="compiled",
+        default="stepped",
         choices=list(ENGINES),
-        help="jump-chain executor for the simulation-backed estimators",
+        help="jump-chain executor for the simulation-backed estimators "
+        "(default stepped: each chunk runs as one batch, several times "
+        "faster than compiled with bit-identical estimates; splitting "
+        "points and the serial unsafety and trace commands run one "
+        "replication per call on compiled)",
     )
     orch.add_argument(
         "--sweep-batch",
@@ -427,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=256,
-        help="lockstep width for --engine batched",
+        help="batch width for --engine batched or stepped",
     )
     trc.add_argument(
         "--boost",

@@ -47,7 +47,7 @@ from repro.core.maneuvers import (
 from repro.core.parameters import AHSParameters
 from repro.core.severity import catastrophic_situation_counts
 from repro.ctmc import CTMC, stationary_distribution, transient_distribution
-from repro.runtime.cache import cache_key
+from repro.runtime.cache import content_key
 
 __all__ = ["OccupancyChain", "FailureLevelChain", "AnalyticalEngine", "AnalyticalResult"]
 
@@ -435,7 +435,7 @@ class AnalyticalEngine:
         self.params = params
         self._build = _remember(
             _BUILDS,
-            cache_key((params, max_concurrent)),
+            content_key((params, max_concurrent)),
             lambda: _Build(params, max_concurrent),
             _BUILD_CACHE_SIZE,
         )

@@ -98,16 +98,19 @@ def unsafety(
         worker count.  Other methods ignore it.
     engine:
         Jump-engine for the simulation-based methods, one of
-        :data:`~repro.san.compiled.ENGINES` (``"compiled"`` by default —
-        same results per seed, several times faster; ``"interpreted"`` is
-        the reference executor, useful when debugging gate code;
-        ``"batched"`` advances a lockstep batch of replications through a
-        NumPy structure-of-arrays kernel, bit-identical per seed at any
-        batch size).  ``analytical`` and ``approx`` ignore it.
+        :data:`~repro.san.compiled.ENGINES`, all bit-identical per seed.
+        ``"compiled"`` (the default) is the scalar kernel, one
+        replication per call; ``"interpreted"`` is the reference
+        executor, useful when debugging gate code; ``"batched"`` and
+        ``"stepped"`` advance a batch of replications through a NumPy
+        structure-of-arrays kernel, ``"stepped"`` being the fastest when
+        a call carries many replications.  ``analytical`` and ``approx``
+        ignore it.
     batch_size:
-        Lockstep width for ``engine="batched"`` (ignored by the other
-        engines).  Purely a throughput knob — estimates, draw counts and
-        IS weights are identical at every width.
+        Batch width for the batch engines, ``"batched"`` and
+        ``"stepped"`` (ignored by the others).  Purely a throughput
+        knob — estimates, draw counts and IS weights are identical at
+        every width.
     observer:
         Optional observability hook (typically
         :class:`repro.obs.Observation`) for the simulation-based methods.

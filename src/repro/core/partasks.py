@@ -63,11 +63,12 @@ class UnsafetySimulationTask:
     works for importance-sampled variants built on top).
 
     ``engine`` selects the jump executor (see
-    :data:`repro.san.compiled.ENGINES`).  Both engines are seed-identical,
-    so results — and the content-addressed cache entries, which include the
-    engine name — stay reproducible across the switch; the cache token
-    still distinguishes engines so a suspected discrepancy can be bisected
-    without cache pollution.
+    :data:`repro.san.compiled.ENGINES`).  It defaults to the stepped
+    engine, which runs each ``batch_size`` slice of a chunk's streams as
+    one batch.  The engines are seed-identical, so results stay
+    reproducible across a switch; the cache token still distinguishes
+    engines so a suspected discrepancy can be bisected without cache
+    pollution.
 
     ``metrics`` attaches a per-chunk
     :class:`~repro.obs.metrics.MetricsRecorder` worker-side; the runtime
@@ -79,7 +80,7 @@ class UnsafetySimulationTask:
 
     params: AHSParameters
     times: tuple[float, ...]
-    engine: str = "compiled"
+    engine: str = "stepped"
     metrics: bool = False
     metrics_level: str = "full"
     batch_size: int = 256

@@ -397,9 +397,9 @@ def deterministic_run_id(token: Any) -> str:
     A resumed/interrupted run therefore appends to the *same* logical
     run identity.
     """
-    from repro.runtime.cache import cache_key
+    from repro.runtime.cache import content_key
 
-    return f"run-{cache_key({'kind': 'run-ledger', 'token': token})[:16]}"
+    return f"run-{content_key({'kind': 'run-ledger', 'token': token})[:16]}"
 
 
 # ----------------------------------------------------------------------

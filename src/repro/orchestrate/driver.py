@@ -168,7 +168,15 @@ class Orchestrator:
         Chunk size for splitting points (one replication there is a full
         splitting pass, hundreds of trajectories, so chunks are small).
     engine:
-        Jump-engine for the simulation-backed estimators.
+        Jump-engine for the simulation-backed estimators.  Defaults to
+        ``"stepped"``: every chunk runs hundreds of replications, which
+        the stepped engine advances as one batch several times faster
+        than the scalar ``"compiled"`` kernel, with bit-identical
+        results.  Splitting points run one trajectory per call, so under
+        a batch engine they take ``"compiled"``; so do the serial paths
+        outside the orchestrator (``unsafety``, importance sampling,
+        splitting, ``trace``), where a batch engine would run batches of
+        one.
     sweep_batch:
         When True, each round's chunk jobs are dispatched to the pool in
         point-contiguous groups (one pool task per group; see
@@ -220,7 +228,7 @@ class Orchestrator:
         seed: int = DEFAULT_SEED,
         round_chunks: Optional[int] = None,
         splitting_chunk_size: int = 8,
-        engine: str = "compiled",
+        engine: str = "stepped",
         sweep_batch: bool = False,
         tensorize: bool = False,
         cost_model: str = "events",
@@ -295,10 +303,14 @@ class Orchestrator:
                 boost=self.estimator_policy.boost,
             )
         if estimator == "splitting":
+            # splitting runs one trajectory per call, which a batch engine
+            # would only hand to its compiled delegate after building its
+            # own tables
+            serial = self.engine in ("batched", "stepped")
             return SplittingReplicationTask(
                 params=point.params,
                 times=point.times,
-                engine=self.engine,
+                engine="compiled" if serial else self.engine,
                 trials_per_stage=self.estimator_policy.splitting_trials,
             )
         raise ValueError(f"unknown estimator {estimator!r}")

@@ -16,7 +16,7 @@ a chunk, never what is computed or in which order it is merged.
 See ``docs/parallel_runtime.md`` for the architecture notes.
 """
 
-from repro.runtime.cache import ResultCache, cache_key, fingerprint
+from repro.runtime.cache import ResultCache, cache_key, content_key, fingerprint
 from repro.runtime.merge import (
     ChunkSummary,
     combine,
@@ -40,6 +40,7 @@ __all__ = [
     "pooled_intervals",
     "ResultCache",
     "cache_key",
+    "content_key",
     "fingerprint",
     "ParallelRunner",
     "ParallelResult",

@@ -4,10 +4,12 @@ A cache entry is keyed by the SHA-256 of a canonical JSON rendering of
 everything that determines the result bit-for-bit: the task's own cache
 token (model parameters, measure, evaluation times), the experiment seed,
 the replication budget or stopping rule, the chunk size (it fixes the
-floating-point merge grouping) and the code version from
-:mod:`repro._version`.  Anything that does *not* enter the key — worker
-count, retry budget, telemetry settings — is guaranteed not to change the
-numbers, so a hit is always safe to reuse.
+floating-point merge grouping), the code version from
+:mod:`repro._version` and a digest of the package's ``.py`` sources
+(:func:`source_digest`), so an edited kernel never reuses an entry.
+Anything that does *not* enter the key — worker count, retry budget,
+telemetry settings — is guaranteed not to change the numbers, so a hit
+is always safe to reuse.
 
 Entries are plain JSON files under ``root/<key[:2]>/<key>.json``, written
 atomically (temp file + ``os.replace``) so concurrent runs never observe
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -30,7 +33,13 @@ import numpy as np
 
 from repro._version import __version__
 
-__all__ = ["fingerprint", "cache_key", "ResultCache"]
+__all__ = [
+    "fingerprint",
+    "content_key",
+    "cache_key",
+    "source_digest",
+    "ResultCache",
+]
 
 
 def fingerprint(obj: Any) -> Any:
@@ -76,18 +85,53 @@ def fingerprint(obj: Any) -> Any:
     )
 
 
-def cache_key(token: Any) -> str:
+@functools.lru_cache(maxsize=1)
+def source_digest() -> str:
+    """SHA-256 over the package's ``.py`` sources (path + contents).
+
+    Computed on first use and memoised for the process, so importing the
+    package costs nothing and every later key pays a dictionary entry.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def _digest(payload: dict) -> str:
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def content_key(token: Any) -> str:
     """SHA-256 hex digest of the canonical rendering of ``token``.
 
-    The code version is always mixed in, so upgrading the library
-    invalidates every entry rather than serving stale numbers.
+    Mixes in only the code version, so the key depends on the token alone
+    and survives edits that leave the token unchanged: use it for
+    identities (kernel-IR digests, run ids) and in-process memos.  Keys of
+    results stored for reuse take :func:`cache_key`.
     """
-    canonical = json.dumps(
-        {"version": __version__, "token": fingerprint(token)},
-        sort_keys=True,
-        separators=(",", ":"),
+    return _digest({"version": __version__, "token": fingerprint(token)})
+
+
+def cache_key(token: Any) -> str:
+    """Key of a stored result: :func:`content_key` plus the source digest.
+
+    The code version and a digest of the package sources are always
+    mixed in, so upgrading or editing the library invalidates every
+    entry rather than serving stale numbers.
+    """
+    return _digest(
+        {
+            "version": __version__,
+            "source": source_digest(),
+            "token": fingerprint(token),
+        }
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class ResultCache:

@@ -544,6 +544,11 @@ class _BatchCursor(CompiledMarking):
             self.values = rows[0]
         self.changed_mask = 0
 
+    def unbind(self) -> None:
+        """Drop the references to the last batch's rows and matrix."""
+        self._rows = []
+        self._matrix = None
+
     def set_row(self, row: int) -> None:
         self._row = row
         self.values = self._rows[row]
@@ -627,13 +632,7 @@ class BatchedJumpEngine:
         self.observer = observer
         self.diagnose = bool(diagnose)
         self._kernel_events = 0
-        # per-row delegate: observed runs, simulate() segments, and the
-        # unlowerable remainder share this engine's compile pass
-        self._delegate = (
-            None
-            if self.diagnose
-            else CompiledJumpEngine(self.compiled, bias=bias, observer=observer)
-        )
+        self._compiled_delegate: Optional[CompiledJumpEngine] = None
         self._bind()
 
     # ------------------------------------------------------------------
@@ -645,9 +644,24 @@ class BatchedJumpEngine:
             )
 
     @property
+    def _delegate(self) -> Optional[CompiledJumpEngine]:
+        """The per-row compiled engine sharing this engine's compile pass.
+
+        Only observed runs and ``simulate`` use it, so it is built on
+        first access: unobserved batch runs never pay for its closures.
+        Diagnose engines have none.
+        """
+        if self._compiled_delegate is None and not self.diagnose:
+            self._compiled_delegate = CompiledJumpEngine(
+                self.compiled, bias=self.bias, observer=self.observer
+            )
+        return self._compiled_delegate
+
+    @property
     def fired_events(self) -> int:
         """Timed firings over this engine's lifetime (kernel + delegate)."""
-        delegated = 0 if self._delegate is None else self._delegate.fired_events
+        delegate = self._compiled_delegate
+        delegated = 0 if delegate is None else delegate.fired_events
         return self._kernel_events + delegated
 
     @property
@@ -878,7 +892,10 @@ class BatchedJumpEngine:
 
         Row ``i`` consumes ``streams[i]`` in exactly the order the
         compiled engine would, so results are bit-identical per stream
-        regardless of the batch width or the fate of sibling rows.
+        regardless of the batch width or the fate of sibling rows.  The
+        batch's rows and marking matrix are released from the cursor
+        before returning (on errors too), so an idle engine — a cached
+        worker context, say — holds no per-batch state.
         """
         self._require_runtime()
         if self.observer is not None:
@@ -889,9 +906,17 @@ class BatchedJumpEngine:
                                    rate_rewards)
                 for stream in streams
             ]
-        n_rows = len(streams)
-        if n_rows == 0:
+        if not streams:
             return []
+        try:
+            return self._run_rows(streams, horizon, stop_predicate,
+                                  rate_rewards)
+        finally:
+            self._cursor.unbind()
+
+    def _run_rows(self, streams, horizon, stop_predicate, rate_rewards):
+        """The per-event lockstep loop over a non-empty batch."""
+        n_rows = len(streams)
         compiled = self.compiled
         cursor = self._cursor
         n_acts = self._n

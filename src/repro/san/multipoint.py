@@ -159,10 +159,22 @@ class MultiPointContext:
 
     # ------------------------------------------------------------------
     def run(self) -> list[list[SimulationRun]]:
-        """Advance every job's replications; one result list per job."""
-        n_rows = self.n_rows
-        if n_rows == 0:
+        """Advance every job's replications; one result list per job.
+
+        The tensor is released from every engine's cursor before
+        returning (on errors too), so the memoised engines hold no
+        per-batch state between dispatches.
+        """
+        if self.n_rows == 0:
             return [[] for _ in self.jobs]
+        try:
+            return self._run()
+        finally:
+            for engine in self.engines:
+                engine._cursor.unbind()
+
+    def _run(self) -> list[list[SimulationRun]]:
+        n_rows = self.n_rows
         engines = self.engines
         n_engines = len(engines)
         has_bias = self.has_bias

@@ -689,27 +689,19 @@ class SteppedJumpEngine(BatchedJumpEngine):
         return stats
 
     # ------------------------------------------------------------------
-    def run_batch(
-        self,
-        streams,
-        horizon: float,
-        stop_predicate=None,
-        rate_rewards=None,
-    ) -> list[SimulationRun]:
+    def _run_rows(self, streams, horizon, stop_predicate, rate_rewards):
         """Advance one replication per stream, one batch step at a time.
 
-        Observed runs delegate per row to the compiled engine and runs
-        with rate rewards take the batched per-event loop (both via
-        :class:`BatchedJumpEngine`), keeping their contracts intact.
+        :meth:`run_batch` (inherited) routes observed runs to the
+        compiled delegate and releases the batch afterwards; runs with
+        rate rewards take the batched per-event loop, keeping their
+        contracts intact.
         """
-        self._require_runtime()
-        if self.observer is not None or rate_rewards:
-            return super().run_batch(
+        if rate_rewards:
+            return super()._run_rows(
                 streams, horizon, stop_predicate, rate_rewards
             )
         n_rows = len(streams)
-        if n_rows == 0:
-            return []
         compiled = self.compiled
         cursor = self._cursor
         n_acts = self._n

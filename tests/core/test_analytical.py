@@ -235,7 +235,7 @@ class TestBuildMemo:
         assert changed.unsafety([6.0]).unsafety[0] != engine.unsafety(
             [6.0]
         ).unsafety[0]
-        key = analytical.cache_key((base.with_changes(assistant_reliability=0.9), 4))
+        key = analytical.content_key((base.with_changes(assistant_reliability=0.9), 4))
         assert key in analytical._BUILDS
 
     def test_in_place_parameter_edit_misses(self):

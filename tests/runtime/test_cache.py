@@ -1,13 +1,19 @@
 """Tests for repro.runtime.cache — canonical keys and the on-disk store."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.parameters import AHSParameters
 from repro.core.partasks import AnalyticalCurveTask, UnsafetySimulationTask
 from repro.runtime import ResultCache, cache_key, fingerprint
+from repro.runtime import cache as cache_module
 
 
 class TestFingerprint:
@@ -69,6 +75,59 @@ class TestCacheKey:
         sim = UnsafetySimulationTask(params=params, times=(2.0,))
         ana = AnalyticalCurveTask(params=params, times=(2.0,))
         assert cache_key(sim.cache_token()) != cache_key(ana.cache_token())
+
+    def test_source_digest_is_part_of_the_key(self, monkeypatch):
+        # an edited package (same __version__) must not reuse old entries
+        token = {"x": 1}
+        before = cache_key(token)
+        monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
+        assert cache_key(token) != before
+        monkeypatch.undo()
+        assert cache_key(token) == before
+
+    def test_identities_ignore_the_source_digest(self, monkeypatch):
+        # run ids and kernel-IR digests name what is computed, not the
+        # package build, so a source edit must not rename them
+        from repro.analysis.lowering import extract_kernel_ir
+        from repro.core.composed import build_composed_model
+        from repro.obs.events import deterministic_run_id
+
+        model = build_composed_model(AHSParameters(max_platoon_size=2)).model
+        token = {"x": 1}
+        before = (
+            cache_module.content_key(token),
+            deterministic_run_id(token),
+            extract_kernel_ir(model).digest(),
+        )
+        monkeypatch.setattr(cache_module, "source_digest", lambda: "0" * 64)
+        assert (
+            cache_module.content_key(token),
+            deterministic_run_id(token),
+            extract_kernel_ir(model).digest(),
+        ) == before
+        assert cache_module.content_key(token) != cache_key(token)
+
+    def test_source_digest_is_memoised(self):
+        digest = cache_module.source_digest()
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert cache_module.source_digest() == digest
+        assert cache_module.source_digest.cache_info().currsize == 1
+
+    def test_source_digest_is_not_computed_at_import(self):
+        probe = (
+            "import repro, repro.runtime, repro.orchestrate, repro.san\n"
+            "from repro.runtime.cache import source_digest\n"
+            "assert source_digest.cache_info().misses == 0\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestResultCache:
