@@ -9,7 +9,8 @@ jump-engine comparison (interpreted vs compiled vs batched)::
 
     PYTHONPATH=src python benchmarks/bench_engines.py --sizes 5 10 20
 
-which prints a speedup table, writes ``BENCH_engines.json`` and exits
+which prints a speedup table, appends a commit-tagged record to the
+history in ``BENCH_engines.json`` (earlier records are kept) and exits
 non-zero on a performance regression: the compiled engine must beat the
 interpreted one at every size, the batched engine (at its widest
 benchmarked batch) must beat compiled at the largest size, the stepped
@@ -17,13 +18,17 @@ engine's tabulated refresh must hold >= 1.5x over batched at n=10 /
 batch 256, and one cross-point tensorized run must hold >= 1.5x over
 per-point stepped loops on the figure-shaped sweeps (the CI bench-smoke
 gates).  All engines replay the same seeds, so the ``events`` columns
-double as an equivalence check.
+double as an equivalence check.  The record also holds the compiled
+engine's importance-sampling throughput at the paper's §4.1 point and
+its refresh-memo hit rate (reported, not gated).
 """
 
 import argparse
 import json
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -408,6 +413,89 @@ def _render_sweep_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def compare_paper_point(replications: int = 32, horizon: float = 10.0,
+                        repeats: int = 2) -> dict:
+    """Compiled-engine importance sampling at §4.1 of the paper.
+
+    n = 10, λ = 1e-5 /h, DD, failure biasing with boost 30 on the
+    ``L_FM*`` activities, stopped at the unsafe predicate — the kernel
+    behind ``unsafety(method="importance")``.  One engine runs every
+    pass (its refresh memo warms up on the first), and the best pass is
+    reported with the memo's hit rate over all passes.
+    """
+    from repro.rare import FailureBiasing
+
+    ahs = build_composed_model(
+        AHSParameters(max_platoon_size=10, base_failure_rate=1e-5)
+    )
+    bias = FailureBiasing(
+        boost=30.0, name_predicate=lambda name: name.startswith("L_FM")
+    ).plan_for(ahs.model)
+    engine = make_jump_engine(ahs.model, bias=bias, engine="compiled")
+    predicate = ahs.unsafe_predicate()
+    elapsed = float("inf")
+    events = 0
+    for _ in range(max(1, repeats)):
+        streams = StreamFactory(2009).stream_batch("is", replications)
+        started = time.perf_counter()
+        events = sum(
+            engine.run(stream, horizon, predicate).firings
+            for stream in streams
+        )
+        elapsed = min(elapsed, time.perf_counter() - started)
+    stats = engine.refresh_stats()
+    return {
+        "max_platoon_size": 10,
+        "base_failure_rate": 1e-5,
+        "boost": 30.0,
+        "horizon": horizon,
+        "replications": replications,
+        "events": int(events),
+        "elapsed_seconds": elapsed,
+        "events_per_sec": events / elapsed if elapsed > 0 else 0.0,
+        "replications_per_sec": (
+            replications / elapsed if elapsed > 0 else 0.0
+        ),
+        "refresh_stats": stats,
+        "memo_hit_rate": (
+            stats["hits"] / stats["refreshes"] if stats["refreshes"] else 0.0
+        ),
+    }
+
+
+def _commit_tag() -> str:
+    """``git describe`` of the working tree, or ``"unknown"``."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            capture_output=True, text=True, check=True,
+            cwd=Path(__file__).resolve().parent,
+        ).stdout.strip() or "unknown"
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def append_history(path: str, record: dict) -> list:
+    """Append ``record`` to the history list stored at ``path``.
+
+    A file holding a single record (the layout before the history was
+    kept) becomes the first entry.
+    """
+    try:
+        with open(path) as handle:
+            previous = json.load(handle)
+    except (OSError, ValueError):
+        previous = []
+    if isinstance(previous, dict):
+        previous = previous.get("history", [previous])
+    history = list(previous) + [record]
+    with open(path, "w") as handle:
+        json.dump({"benchmark": "san-jump-engines", "history": history},
+                  handle, indent=2)
+        handle.write("\n")
+    return history
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Compare the interpreted and compiled SAN jump engines."
@@ -445,7 +533,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--json",
         default="BENCH_engines.json",
-        help="output path for the machine-readable results",
+        help="history file the machine-readable record is appended to",
     )
     args = parser.parse_args(argv)
     sizes = [3, 10] if args.smoke else args.sizes
@@ -457,18 +545,27 @@ def main(argv=None) -> int:
     sweep_rows = compare_sweep(repeats=2 if args.smoke else 3)
     print()
     print(_render_sweep_table(sweep_rows))
+    paper_point = compare_paper_point(replications=16 if args.smoke else 32)
+    print()
+    print(
+        "compiled IS at §4.1 (n=10, λ=1e-5, boost 30): "
+        f"{paper_point['events_per_sec']:.0f} ev/s, "
+        f"{paper_point['replications_per_sec']:.1f} reps/s, "
+        f"refresh memo hit rate {paper_point['memo_hit_rate']:.1%}"
+    )
     record = {
         "benchmark": "san-jump-engines",
+        "commit": _commit_tag(),
+        "python": sys.version.split()[0],
         "replications": max(replications, max(batch_sizes)),
         "horizon": args.horizon,
         "batch_sizes": list(batch_sizes),
         "rows": rows,
         "sweeps": sweep_rows,
+        "paper_point": paper_point,
     }
-    with open(args.json, "w") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.json}")
+    history = append_history(args.json, record)
+    print(f"appended record {len(history)} to {args.json}")
 
     failed = False
     slower = [row for row in rows if row["speedup"] < 1.0]

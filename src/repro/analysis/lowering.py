@@ -384,8 +384,6 @@ def _check_table_spans(engine, matrix, complete) -> Iterator[Diagnostic]:
     from repro.san.stepped import _SPAN_CAP
 
     for table in engine._tables:
-        if table.direct and table.gate is None and table.rate is None:
-            continue  # roles never derived; tabulation was never on offer
         label = table.group.names[0]
         for kind, part in (("gate", table.gate), ("rate", table.rate)):
             if part is None:

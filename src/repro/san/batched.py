@@ -63,6 +63,19 @@ from repro.san.compiled import (
     _enabling_reads,
     compile_model,
 )
+from repro.san.lowering import (  # noqa: F401  (re-exported lowering names)
+    _ACTIVE_TRAIL,
+    _MAX_DEPTH,
+    _MAX_PATHS,
+    _BranchTrail,
+    _build_tree,
+    _CannotLower,
+    _enumerate_paths,
+    _lower_group,
+    _LowerView,
+    _Node,
+    _tree_expr,
+)
 from repro.san.model import SANModel
 from repro.san.simulator import (
     MAX_INSTANTANEOUS_CHAIN,
@@ -76,322 +89,6 @@ __all__ = ["DEFAULT_BATCH_SIZE", "BatchedJumpEngine"]
 
 #: default replications advanced in lockstep (see docs/engine_perf.md)
 DEFAULT_BATCH_SIZE = 256
-
-# lowering caps: a gate whose branch structure exceeds these falls back
-# to the per-row closure path instead of exploding the compile pass
-_MAX_PATHS = 128
-_MAX_DEPTH = 48
-
-
-class _CannotLower(BaseException):
-    """Raised (and caught internally) when a gate resists vectorization.
-
-    Deliberately a ``BaseException``: gate code wrapped in broad
-    ``except Exception`` handlers must not swallow the abort signal and
-    let a half-traced expression masquerade as a lowered result.
-    """
-
-
-# ----------------------------------------------------------------------
-# symbolic tracing: expression nodes + branch-path enumeration
-# ----------------------------------------------------------------------
-#: the branch trail the tracer is currently recording into (single
-#: threaded by construction: lowering happens once, at engine build)
-_ACTIVE_TRAIL: list = [None]
-
-
-class _Node:
-    """A deferred column expression over the batch marking matrix.
-
-    ``ev(M)`` maps the ``(B, n_slots)`` matrix to a length-B column (or
-    a scalar for constant subtrees).  Arithmetic and comparisons build
-    bigger nodes; truthiness (`bool`) defers to the active branch trail,
-    which is how data-dependent control flow is enumerated.  Escapes the
-    numeric domain (``float``/``int``/``len``/iteration) abort lowering.
-    """
-
-    __slots__ = ("ev",)
-
-    def __init__(self, ev: Callable[[np.ndarray], Any]) -> None:
-        self.ev = ev
-
-    # -- coercions that end symbolic execution --------------------------
-    def __bool__(self) -> bool:
-        trail = _ACTIVE_TRAIL[0]
-        if trail is None:
-            raise _CannotLower("truth value outside a tracing context")
-        return trail.decide(self)
-
-    def __float__(self):
-        raise _CannotLower("float() coercion")
-
-    def __int__(self):
-        raise _CannotLower("int() coercion")
-
-    def __index__(self):
-        raise _CannotLower("index coercion")
-
-    def __iter__(self):
-        raise _CannotLower("iteration over a marking expression")
-
-    def __len__(self):
-        raise _CannotLower("len() of a marking expression")
-
-    def __hash__(self):
-        raise _CannotLower("hashing a marking expression")
-
-
-def _ev_of(value: Any) -> Callable[[np.ndarray], Any]:
-    """The evaluator of an operand (node or plain number)."""
-    if isinstance(value, _Node):
-        return value.ev
-    if isinstance(value, (bool, int, float)):
-        return lambda M, _c=value: _c
-    raise _CannotLower(f"non-numeric operand {type(value).__name__}")
-
-
-def _binary(op: Callable[[Any, Any], Any]):
-    def method(self: _Node, other: Any) -> _Node:
-        ev_other = _ev_of(other)
-        ev_self = self.ev
-        return _Node(lambda M: op(ev_self(M), ev_other(M)))
-
-    return method
-
-
-def _rbinary(op: Callable[[Any, Any], Any]):
-    def method(self: _Node, other: Any) -> _Node:
-        ev_other = _ev_of(other)
-        ev_self = self.ev
-        return _Node(lambda M: op(ev_other(M), ev_self(M)))
-
-    return method
-
-
-def _unary(op: Callable[[Any], Any]):
-    def method(self: _Node) -> _Node:
-        ev_self = self.ev
-        return _Node(lambda M: op(ev_self(M)))
-
-    return method
-
-
-import operator as _op  # noqa: E402  (kept next to its sole use)
-
-for _name, _fn in [
-    ("__add__", _op.add), ("__sub__", _op.sub), ("__mul__", _op.mul),
-    ("__truediv__", _op.truediv), ("__floordiv__", _op.floordiv),
-    ("__mod__", _op.mod), ("__pow__", _op.pow),
-    ("__lt__", _op.lt), ("__le__", _op.le), ("__gt__", _op.gt),
-    ("__ge__", _op.ge), ("__eq__", _op.eq), ("__ne__", _op.ne),
-]:
-    setattr(_Node, _name, _binary(_fn))
-for _name, _fn in [
-    ("__radd__", _op.add), ("__rsub__", _op.sub), ("__rmul__", _op.mul),
-    ("__rtruediv__", _op.truediv), ("__rfloordiv__", _op.floordiv),
-    ("__rmod__", _op.mod), ("__rpow__", _op.pow),
-]:
-    setattr(_Node, _name, _rbinary(_fn))
-for _name, _fn in [
-    ("__neg__", _op.neg), ("__pos__", _op.pos), ("__abs__", _op.abs),
-]:
-    setattr(_Node, _name, _unary(_fn))
-del _name, _fn
-
-
-class _BranchTrail:
-    """One forced-outcome replay of a gate function.
-
-    The first ``len(forced)`` truthiness decisions take the forced
-    outcomes; later ones default to ``True`` and are recorded so the
-    enumerator can queue their flipped variants.
-    """
-
-    __slots__ = ("forced", "decisions")
-
-    def __init__(self, forced: tuple) -> None:
-        self.forced = forced
-        self.decisions: list[tuple[_Node, bool]] = []
-
-    def decide(self, node: _Node) -> bool:
-        depth = len(self.decisions)
-        if depth >= _MAX_DEPTH:
-            raise _CannotLower("branch depth cap exceeded")
-        outcome = self.forced[depth] if depth < len(self.forced) else True
-        self.decisions.append((node, outcome))
-        return outcome
-
-
-class _LowerView:
-    """The gate-view stand-in used while tracing a predicate or rate.
-
-    Bound to a *group* of activities sharing the same gate/rate code:
-    each local name maps to one slot per group member, so reads return
-    ``(B, G)`` column-block :class:`_Node` expressions and record every
-    member's global slot.  Writes and extended-place reads abort
-    lowering (the per-row closure fallback handles those activities with
-    compiled-engine semantics).
-    """
-
-    __slots__ = ("_cols", "_extended", "reads")
-
-    def __init__(
-        self, cols: dict[str, np.ndarray], extended: frozenset
-    ) -> None:
-        self._cols = cols
-        self._extended = extended
-        self.reads: set[int] = set()
-
-    def __getitem__(self, local: str) -> _Node:
-        cols = self._cols[local]  # KeyError → _CannotLower via enumerator
-        slots = [int(slot) for slot in cols]
-        if any(slot in self._extended for slot in slots):
-            raise _CannotLower(f"extended place read {local!r}")
-        self.reads.update(slots)
-        return _Node(lambda M, _c=cols: M[:, _c])
-
-    def __setitem__(self, local: str, value: Any):
-        raise _CannotLower("marking write during predicate/rate tracing")
-
-    def inc(self, local: str, amount: int = 1):
-        raise _CannotLower("marking write during predicate/rate tracing")
-
-    def dec(self, local: str, amount: int = 1):
-        raise _CannotLower("marking write during predicate/rate tracing")
-
-    def tuple_set(self, local: str, index: int, value: Any):
-        raise _CannotLower("marking write during predicate/rate tracing")
-
-
-def _enumerate_paths(fn: Callable, view: _LowerView) -> list:
-    """All (decision sequence, result) pairs of ``fn`` over the view.
-
-    Depth-first forced replay: run with every decision defaulting to
-    True, then re-run with each defaulted decision flipped, recursively.
-    Pure numeric gate code terminates with at most 2^depth paths; the
-    caps bound pathological cases.
-    """
-    paths = []
-    stack: list[tuple] = [()]
-    while stack:
-        forced = stack.pop()
-        trail = _BranchTrail(forced)
-        previous = _ACTIVE_TRAIL[0]
-        _ACTIVE_TRAIL[0] = trail
-        try:
-            result = fn(view)
-        except _CannotLower:
-            raise
-        except Exception as exc:
-            # a gate that raises under some branch combination cannot be
-            # vectorized; the runtime fallback reproduces the real error
-            raise _CannotLower(f"path evaluation raised {type(exc).__name__}")
-        finally:
-            _ACTIVE_TRAIL[0] = previous
-        paths.append((tuple(trail.decisions), result))
-        if len(paths) > _MAX_PATHS:
-            raise _CannotLower("branch path cap exceeded")
-        for depth in range(len(forced), len(trail.decisions)):
-            prefix = tuple(o for _, o in trail.decisions[:depth])
-            stack.append(prefix + (False,))
-    return paths
-
-
-def _build_tree(paths: list, depth: int):
-    """Fold enumerated paths into a binary decision tree.
-
-    Nodes are ``("leaf", value)`` or ``("branch", cond, true, false)``.
-    Purity of gate code guarantees all paths sharing a decision prefix
-    met the same condition at the same depth; violations abort lowering.
-    """
-    terminal = [p for p in paths if len(p[0]) == depth]
-    ongoing = [p for p in paths if len(p[0]) > depth]
-    if terminal and ongoing:
-        raise _CannotLower("non-deterministic branch structure")
-    if terminal:
-        if len(terminal) != 1:
-            raise _CannotLower("duplicate decision paths")
-        value = terminal[0][1]
-        if not isinstance(value, (_Node, bool, int, float)):
-            raise _CannotLower(f"non-numeric result {type(value).__name__}")
-        return ("leaf", value)
-    if not ongoing:
-        raise _CannotLower("empty path set")
-    condition = ongoing[0][0][depth][0]
-    true_side = [p for p in ongoing if p[0][depth][1]]
-    false_side = [p for p in ongoing if not p[0][depth][1]]
-    if not true_side or not false_side:
-        raise _CannotLower("one-sided branch enumeration")
-    return (
-        "branch",
-        condition,
-        _build_tree(true_side, depth + 1),
-        _build_tree(false_side, depth + 1),
-    )
-
-
-def _tree_expr(tree) -> tuple[Callable, Optional[float]]:
-    """Fold the tree into one column expression ``expr(M)``.
-
-    Returns ``(expr, const)`` where ``const`` is the Python value when
-    the whole tree is a constant leaf (letting callers special-case it).
-    Branches become element-wise ``np.where`` selections — both sides are
-    evaluated over all rows, which is exactly what the earlier masked
-    formulation did too (a leaf's expression ignores its mask), so the
-    selected values are bit-identical while the per-branch mask algebra,
-    ``.any()`` guards and per-leaf ``copyto`` calls disappear.
-    """
-    kind = tree[0]
-    if kind == "leaf":
-        value = tree[1]
-        if isinstance(value, _Node):
-            return value.ev, None
-        constant = float(value)
-        return (lambda M, _c=constant: _c), constant
-
-    _, condition, true_tree, false_tree = tree
-    cond_ev = condition.ev
-    true_expr, true_const = _tree_expr(true_tree)
-    false_expr, false_const = _tree_expr(false_tree)
-    if true_const == 1.0 and false_const == 0.0:
-        # `x and y`-style predicate chains bottom out in 1/0 leaves; the
-        # branch then IS its condition (as 0/1 via the boolean array)
-        return (lambda M: np.asarray(cond_ev(M)) != 0), None
-
-    def expr(M):
-        return np.where(
-            np.asarray(cond_ev(M)) != 0, true_expr(M), false_expr(M)
-        )
-
-    return expr, None
-
-
-def _lower_group(
-    fn: Callable,
-    bindings: list[dict[str, int]],
-    extended: frozenset,
-) -> tuple[Callable, set[int]]:
-    """Lower one predicate/rate over a member group.
-
-    ``bindings`` carries each member's local-name → global-slot mapping;
-    the shared ``fn`` is traced once and the resulting expression reads
-    ``(B, G)`` column blocks (member ``g``'s slots in column ``g``).
-    Returns the fused expression and the union of read slots.
-    """
-    try:
-        cols = {
-            name: np.array(
-                [binding[name] for binding in bindings], dtype=np.intp
-            )
-            for name in bindings[0]
-        }
-    except KeyError as exc:
-        raise _CannotLower(f"unaligned gate binding {exc}") from None
-    view = _LowerView(cols, extended)
-    paths = _enumerate_paths(fn, view)
-    tree = _build_tree(paths, 0)
-    expr, _const = _tree_expr(tree)
-    return expr, set(view.reads)
 
 
 class _LoweredGroup:
@@ -407,18 +104,22 @@ class _LoweredGroup:
     """
 
     __slots__ = ("indices", "names", "gate_exprs", "eff_consts",
-                 "rate_expr", "factors", "any_factor", "reads_mask")
+                 "rate_expr", "factors", "any_factor", "reads_mask",
+                 "gate_roles", "rate_roles")
 
-    def __init__(self, indices, names, gate_exprs, eff_consts, rate_expr,
-                 factors, reads_mask: int) -> None:
-        self.indices = indices        # (G,) intp — activity columns in R
-        self.names = names
-        self.gate_exprs = gate_exprs  # fused truthy expressions, (B, G)
-        self.eff_consts = eff_consts  # (G,) float64, <= 0 clamped (or None)
-        self.rate_expr = rate_expr
+    def __init__(self, block, factors) -> None:
+        self.indices = np.array(block.indices, dtype=np.intp)  # columns in R
+        self.names = block.names
+        self.gate_exprs = block.gate_exprs  # fused truthy expressions, (B, G)
+        self.eff_consts = block.eff_consts  # (G,) float64, <= 0 clamped
+        self.rate_expr = block.rate_expr
         self.factors = factors        # (G,) float64 bias multipliers
         self.any_factor = bool((factors != 1.0).any())
-        self.reads_mask = reads_mask
+        self.reads_mask = 0
+        for slot in block.reads:
+            self.reads_mask |= 1 << slot
+        self.gate_roles = block.gate_roles  # footprint roles (see lowering)
+        self.rate_roles = block.rate_roles
 
     def refresh(self, M, Ro, Rb, alive, has_bias: bool) -> None:
         """Recompute the group's rate columns from the matrix.
@@ -649,7 +350,9 @@ class BatchedJumpEngine:
 
         Only observed runs and ``simulate`` use it, so it is built on
         first access: unobserved batch runs never pay for its closures.
-        Diagnose engines have none.
+        It takes its refresh-memo footprints from the lowering this
+        engine already ran (:meth:`CompiledModel.lowering` keeps it), so
+        no second lowering pass runs.  Diagnose engines have none.
         """
         if self._compiled_delegate is None and not self.diagnose:
             self._compiled_delegate = CompiledJumpEngine(
@@ -687,92 +390,17 @@ class BatchedJumpEngine:
             self.bias.get(activity.name, 1.0) for activity in compiled.timed
         ]
         self._has_bias = any(factor != 1.0 for factor in self._factors)
-        extended = frozenset(
-            slot for slot, place in enumerate(compiled.places)
-            if place.is_extended
-        )
-
-        # group members by shared gate/rate *code*: the composed model
-        # stamps the same per-vehicle activity types across 2n replicas,
-        # so one traced tree covers a whole column block of activities
-        signatures: dict[tuple, list[int]] = {}
-        for index, activity in enumerate(compiled.timed):
-            _constant, rate_fn = activity.exponential_parts()
-            signature = (
-                tuple(id(gate.predicate) for gate in activity.input_gates),
-                id(rate_fn.fn) if rate_fn is not None else None,
+        # one traced tree per group of activities sharing gate/rate code
+        # (see repro.san.lowering), shared with every engine on this model
+        lowering = compiled.lowering()
+        self._lowered: list[_LoweredGroup] = [
+            _LoweredGroup(
+                block, np.array([self._factors[i] for i in block.indices])
             )
-            signatures.setdefault(signature, []).append(index)
-
-        def lower_members(indices: list[int]) -> _LoweredGroup:
-            members = [compiled.timed[i] for i in indices]
-            template = members[0]
-            gate_exprs = []
-            reads: set[int] = set()
-            for position in range(len(template.input_gates)):
-                expr, gate_reads = _lower_group(
-                    template.input_gates[position].predicate,
-                    [m.input_gates[position].slot_binding(slot_of)
-                     for m in members],
-                    extended,
-                )
-                gate_exprs.append(expr)
-                reads |= gate_reads
-            _c0, rate_fn = template.exponential_parts()
-            if rate_fn is None:
-                rate_expr = None
-                consts = np.array(
-                    [float(m.exponential_parts()[0]) for m in members]
-                )
-                eff_consts = np.where(consts > 0.0, consts, 0.0)
-            else:
-                eff_consts = None
-                rate_expr, rate_reads = _lower_group(
-                    rate_fn.fn,
-                    [m.exponential_parts()[1].slot_binding(slot_of)
-                     for m in members],
-                    extended,
-                )
-                reads |= rate_reads
-            reads_mask = 0
-            for slot in reads:
-                reads_mask |= 1 << slot
-            return _LoweredGroup(
-                np.array(indices, dtype=np.intp),
-                [m.name for m in members],
-                gate_exprs,
-                eff_consts,
-                rate_expr,
-                np.array([self._factors[i] for i in indices]),
-                reads_mask,
-            )
-
-        self._lowered: list[_LoweredGroup] = []
-        fallback_indices: list[int] = []
-        fallback_reasons: dict[str, str] = {}
-        for members in signatures.values():
-            try:
-                self._lowered.append(lower_members(members))
-            except _CannotLower as group_exc:
-                # a group can fail collectively (e.g. one member binds an
-                # extended place) while others still lower individually
-                group_reason = str(group_exc)
-                for index in members:
-                    if len(members) > 1:
-                        try:
-                            self._lowered.append(lower_members([index]))
-                            continue
-                        except _CannotLower as solo_exc:
-                            fallback_reasons[compiled.timed[index].name] = str(
-                                solo_exc
-                            )
-                    else:
-                        fallback_reasons[compiled.timed[index].name] = (
-                            group_reason
-                        )
-                    fallback_indices.append(index)
-        fallback_indices.sort()
-        self.fallback_reasons = fallback_reasons
+            for block in lowering.blocks
+        ]
+        fallback_indices = lowering.fallback_indices
+        self.fallback_reasons = dict(lowering.fallback_reasons)
 
         # slot → bitmask of *positions in self._lowered* (reverse index)
         self._lowered_dep = [0] * compiled.n_slots

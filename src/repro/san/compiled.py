@@ -14,7 +14,9 @@ module removes that cost with a one-time compile pass:
 * :class:`CompiledJumpEngine` keeps a per-activity rate table and only
   re-evaluates the activities whose read slots changed since the last
   firing (*incremental propensity maintenance*), instead of rescanning
-  the whole model.
+  the whole model — and memoises each re-evaluation on the marking
+  values of the activity's lowered footprint (the *refresh memo*), so
+  the closures run only on values not seen before.
 
 Equivalence contract (enforced by ``tests/san/test_compiled_equivalence``):
 for the same seed the compiled engine consumes the random stream in
@@ -27,9 +29,11 @@ likelihood-ratio weights.  Two implementation details make this exact:
    Adding ``0.0`` to a non-negative partial sum is a bitwise no-op, so the
    result equals the interpreted engine's compact-list sum exactly.  With
    the default ``recompute_interval=1`` this reduction runs every jump (at
-   C speed, via ``sum``); larger intervals switch to delta maintenance of
-   the running totals with a periodic exact re-reduction to bound float
-   drift, trading last-ulp equality for fewer O(n) passes.
+   C speed: the biased total is the last entry of the selection's prefix
+   sums, see :data:`_ltr_sum` for the unbiased one); larger intervals
+   switch to delta maintenance of the running totals with a periodic
+   exact re-reduction to bound float drift, trading last-ulp equality for
+   fewer O(n) passes.
 2. **Selection.**  Activity selection replays the interpreted engine's
    ``choice_index`` draw (one uniform) and resolves it with a C-level
    prefix sum + bisection over the rate table; zero entries cannot be
@@ -42,12 +46,16 @@ guidance.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
+from collections import deque
 from functools import partial
 from itertools import accumulate
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from repro.san.activities import InstantaneousActivity, TimedActivity
+from repro.san.lowering import Lowering, lower_timed
 from repro.san.marking import Marking, MarkingFunction
 from repro.san.model import SANModel
 from repro.san.places import Place
@@ -74,6 +82,24 @@ __all__ = [
 
 #: engine names accepted by :func:`make_jump_engine` and the CLI ``--engine``
 ENGINES = ("interpreted", "compiled", "batched", "stepped")
+
+#: entries one lowered group's refresh memo holds before it is cleared
+#: (at n = 10 a 192-replication importance-sampling answer stores ~0.9k
+#: entries over all groups, so the cap only bounds pathological models)
+_MEMO_CAP = 4096
+
+
+def _ltr_sum_accumulate(values) -> float:
+    """Left-to-right float sum, ``((v0 + v1) + v2) + ...``."""
+    return deque(accumulate(values), maxlen=1)[0] if values else 0.0
+
+
+#: the left-to-right float sum that the interpreted engine's ``+=`` loop,
+#: the batch engines' ``np.cumsum`` and ``accumulate`` all compute.  Before
+#: CPython 3.12 builtin ``sum`` is that reduction (and ~4x faster than
+#: ``accumulate``); from 3.12 on it compensates (Neumaier), which changes
+#: the last bits of the total on most jumps of the paper model
+_ltr_sum = sum if sys.version_info < (3, 12) else _ltr_sum_accumulate
 
 
 class CompiledMarking:
@@ -292,6 +318,19 @@ class CompiledModel:
         for activity in self.instantaneous:
             for place in _enabling_reads(activity):
                 self.insta_reads_mask |= 1 << self.slot_of[place]
+        self._lowering: Optional[Lowering] = None
+
+    def lowering(self) -> Lowering:
+        """The branch-path lowering of the timed activities.
+
+        Run on first use and kept: the batch engines build their column
+        kernels from it and the compiled engine its refresh-memo
+        footprints, so every engine bound to this model — a batch
+        engine's per-row delegate included — shares one pass.
+        """
+        if self._lowering is None:
+            self._lowering = lower_timed(self)
+        return self._lowering
 
     def new_marking(self, values: Optional[list] = None) -> CompiledMarking:
         """A fresh array-backed marking (initial values by default)."""
@@ -843,7 +882,7 @@ class CompiledJumpEngine:
         self._has_bias = any(factor != 1.0 for factor in self._factors)
         self._names = [activity.name for activity in compiled.timed]
         # one-cell read-trace accumulator shared by every tracing view;
-        # _refresh resets it, evaluates, then harvests the union of reads
+        # _evaluate resets it, evaluates, then harvests the union of reads
         self._trace = [0]
         self._enabled = [
             _compile_enabled(activity, marking, slot_of, self._trace)
@@ -853,8 +892,14 @@ class CompiledJumpEngine:
             _compile_rate(activity, marking, slot_of, self._trace)
             for activity in compiled.timed
         ]
-        self._rate_consts = [constant for constant, _ in rate_parts]
         self._rate_fns = [fn for _, fn in rate_parts]
+        # the rate a constant-rate activity contributes when enabled (its
+        # constant, clamped at 0.0); ``None`` for marking-dependent rates,
+        # whose evaluated value is the contribution
+        self._const_rates = [
+            None if fn is not None else (constant if constant > 0.0 else 0.0)
+            for constant, fn in rate_parts
+        ]
         self._choosers = [
             _compile_chooser(activity, marking, slot_of)
             for activity in compiled.timed
@@ -884,59 +929,197 @@ class CompiledJumpEngine:
         # tightened to the traced read sets as activities are evaluated.
         self._read_masks = [0] * self._n
         for index, activity in enumerate(compiled.timed):
-            bit = 1 << index
             for place in _enabling_reads(activity):
                 self._read_masks[index] |= 1 << slot_of[place]
         self._dep_masks = list(compiled.dep_masks)
+        self._bind_memo()
+
+    def _bind_memo(self) -> None:
+        """Attach the refresh memo: one table per lowered member group.
+
+        A member's key getter reads its footprint slots (role order); the
+        group's table maps those values to ``(value, read positions)``,
+        where ``value`` is what :meth:`_evaluate` returns and the read
+        positions are the footprint roles the evaluation read, as a
+        bitmask each member maps back to its own slots.  Activities that
+        did not lower (extended-place readers among them) and those with
+        an empty footprint keep ``None`` and always evaluate.
+        """
+        n = self._n
+        self._memo_keys: list[Optional[Callable]] = [None] * n
+        self._memo_tables: list[Optional[dict]] = [None] * n
+        self._footprints: list[tuple[int, ...]] = [()] * n
+        #: read positions behind each memoised activity's read mask
+        #: (-1: the static seed, not yet refreshed through the memo), and
+        #: each member's positions → own slot mask translations
+        self._read_positions = [-1] * n
+        self._reads_of_positions: list[dict[int, int]] = [{} for _ in range(n)]
+        self._memos: list[dict] = []
+        for block in self.compiled.lowering().blocks:
+            if not (block.gate_roles or block.rate_roles):
+                continue
+            table: dict = {}
+            self._memos.append(table)
+            for position, index in enumerate(block.indices):
+                footprint = block.footprint(position)
+                self._memo_keys[index] = itemgetter(*footprint)
+                self._memo_tables[index] = table
+                self._footprints[index] = footprint
+        self._refreshes = 0
+        self._hits = 0
+        self._misses = 0
+
+    def refresh_stats(self) -> dict[str, int]:
+        """Propensity-refresh counters over this engine's lifetime.
+
+        ``refreshes`` counts every activity re-evaluation request;
+        ``hits`` and ``misses`` split the memoised ones by whether the
+        refresh memo answered; ``entries`` is the memo's current size.
+        """
+        return {
+            "refreshes": self._refreshes,
+            "hits": self._hits,
+            "misses": self._misses,
+            "entries": sum(len(table) for table in self._memos),
+        }
 
     # ------------------------------------------------------------------
     # propensity maintenance
     # ------------------------------------------------------------------
-    def _refresh(self, index: int) -> None:
-        """Re-evaluate one activity's enabling and rate; update the tables,
-        the delta-maintained totals, and the dynamic dependency index."""
+    def _evaluate(self, index: int) -> tuple[Any, int]:
+        """Run one activity's enabling and rate closures.
+
+        Returns ``(value, reads)``: ``value`` is the enabled flag for a
+        constant-rate activity and the rate (``0.0`` when disabled or not
+        positive) for a marking-dependent one; ``reads`` is the mask of
+        slots the evaluation read.  Both are pure functions of the
+        marking values on the activity's footprint, which is what makes
+        ``value`` shareable across a lowered group's members.
+        """
         trace = self._trace
         trace[0] = 0
         enabled = self._enabled[index]
+        fn = self._rate_fns[index]
         if enabled is None or enabled():
-            fn = self._rate_fns[index]
-            rate = self._rate_consts[index] if fn is None else fn()
-            if rate > 0.0:
-                new_orig = rate
-                new_biased = rate * self._factors[index]
+            if fn is None:
+                value = True
             else:
-                new_orig = 0.0
-                new_biased = 0.0
+                rate = fn()
+                value = rate if rate > 0.0 else 0.0
         else:
-            new_orig = 0.0
-            new_biased = 0.0
-        old_orig = self._orig[index]
-        if new_orig != old_orig or new_biased != self._biased[index]:
-            if (new_orig > 0.0) != (old_orig > 0.0):
-                self._n_active += 1 if new_orig > 0.0 else -1
-            self._total += new_orig - old_orig
-            self._total_biased += new_biased - self._biased[index]
-            self._orig[index] = new_orig
-            self._biased[index] = new_biased
-        # fold the traced read set into the reverse index (purity of gate
-        # predicates/rates guarantees the last evaluation's reads are the
-        # complete determinant of the cached result)
-        reads = trace[0]
-        old_reads = self._read_masks[index]
-        if reads != old_reads:
-            dep_masks = self._dep_masks
-            bit = 1 << index
-            stale = old_reads & ~reads
-            while stale:
-                low_bit = stale & -stale
-                dep_masks[low_bit.bit_length() - 1] &= ~bit
-                stale ^= low_bit
-            fresh = reads & ~old_reads
-            while fresh:
-                low_bit = fresh & -fresh
-                dep_masks[low_bit.bit_length() - 1] |= bit
-                fresh ^= low_bit
-            self._read_masks[index] = reads
+            value = False if fn is None else 0.0
+        return value, trace[0]
+
+    def _miss(self, index: int, key) -> tuple[Any, int]:
+        """Evaluate a memoised activity and store the group's entry.
+
+        The evaluation may raise (a negative rate); nothing is stored
+        then.  A full table is cleared before the store, so the memo
+        never holds more than ``_MEMO_CAP`` entries per group.
+        """
+        value, reads = self._evaluate(index)
+        positions = 0
+        for position, slot in enumerate(self._footprints[index]):
+            if reads >> slot & 1:
+                positions |= 1 << position
+        entry = (value, positions)
+        table = self._memo_tables[index]
+        if len(table) >= _MEMO_CAP:
+            table.clear()
+        if _MEMO_CAP:
+            table[key] = entry
+        return entry
+
+    def _position_reads(self, index: int, positions: int) -> int:
+        """The member's own slot mask for memoised read positions."""
+        reads = 0
+        for position, slot in enumerate(self._footprints[index]):
+            if positions >> position & 1:
+                reads |= 1 << slot
+        self._reads_of_positions[index][positions] = reads
+        return reads
+
+    def _refresh(self, affected: int) -> None:
+        """Re-evaluate the activities in ``affected`` (a bitmask over
+        timed indices): update the rate tables, the delta-maintained
+        totals, and the dynamic dependency index.
+
+        A memoised activity costs one ``itemgetter`` over its footprint
+        and one dict probe when the memo holds its footprint values; the
+        closures run only on a miss.  Purity of gate predicates and rates
+        makes a hit exactly what re-evaluation would return, read set
+        included, so the tables and the index match an unmemoised run.
+        """
+        values = self._marking.values
+        keys = self._memo_keys
+        tables = self._memo_tables
+        read_positions = self._read_positions
+        reads_of_positions = self._reads_of_positions
+        read_masks = self._read_masks
+        dep_masks = self._dep_masks
+        const_rates = self._const_rates
+        factors = self._factors
+        orig = self._orig
+        biased = self._biased
+        refreshes = affected.bit_count()
+        plain = misses = active = 0
+        delta_orig = delta_biased = 0.0
+        while affected:
+            bit = affected & -affected
+            affected ^= bit
+            index = bit.bit_length() - 1
+            key_of = keys[index]
+            if key_of is None:
+                plain += 1
+                value, reads = self._evaluate(index)
+            else:
+                key = key_of(values)
+                entry = tables[index].get(key)
+                if entry is None:
+                    misses += 1
+                    entry = self._miss(index, key)
+                value, positions = entry
+                if positions == read_positions[index]:
+                    reads = None
+                else:
+                    read_positions[index] = positions
+                    reads = reads_of_positions[index].get(positions)
+                    if reads is None:
+                        reads = self._position_reads(index, positions)
+            const = const_rates[index]
+            new_orig = value if const is None else (const if value else 0.0)
+            new_biased = new_orig * factors[index]
+            old_orig = orig[index]
+            if new_orig != old_orig or new_biased != biased[index]:
+                if (new_orig > 0.0) != (old_orig > 0.0):
+                    active += 1 if new_orig > 0.0 else -1
+                delta_orig += new_orig - old_orig
+                delta_biased += new_biased - biased[index]
+                orig[index] = new_orig
+                biased[index] = new_biased
+            # fold the read set into the reverse index (purity of gate
+            # predicates/rates guarantees the last evaluation's reads
+            # are the complete determinant of the cached result)
+            if reads is not None and reads != read_masks[index]:
+                old_reads = read_masks[index]
+                stale = old_reads & ~reads
+                while stale:
+                    low_bit = stale & -stale
+                    dep_masks[low_bit.bit_length() - 1] &= ~bit
+                    stale ^= low_bit
+                fresh = reads & ~old_reads
+                while fresh:
+                    low_bit = fresh & -fresh
+                    dep_masks[low_bit.bit_length() - 1] |= bit
+                    fresh ^= low_bit
+                read_masks[index] = reads
+        # (an exception above leaves these stale; every run rebuilds them)
+        self._n_active += active
+        self._total += delta_orig
+        self._total_biased += delta_biased
+        self._refreshes += refreshes
+        self._hits += refreshes - plain - misses
+        self._misses += misses
 
     def _refresh_all(self) -> None:
         """Full rebuild of the propensity tables (run entry)."""
@@ -945,11 +1128,10 @@ class CompiledJumpEngine:
         self._total = 0.0
         self._total_biased = 0.0
         self._n_active = 0
-        for index in range(self._n):
-            self._refresh(index)
+        self._refresh((1 << self._n) - 1)
         # run entry is a recompute point: fix the reduction order exactly
-        self._total_biased = sum(self._biased)
-        self._total = sum(self._orig) if self._has_bias else self._total_biased
+        self._total_biased = _ltr_sum(self._biased)
+        self._total = _ltr_sum(self._orig) if self._has_bias else self._total_biased
 
     def _refresh_affected(self, changed_mask: int) -> None:
         """Re-evaluate only the activities whose last evaluation read one
@@ -960,11 +1142,8 @@ class CompiledJumpEngine:
             low_bit = changed_mask & -changed_mask
             affected |= dep_masks[low_bit.bit_length() - 1]
             changed_mask ^= low_bit
-        refresh = self._refresh
-        while affected:
-            low_bit = affected & -affected
-            refresh(low_bit.bit_length() - 1)
-            affected ^= low_bit
+        if affected:
+            self._refresh(affected)
 
     def _marking_delta(self, changed_mask: int) -> dict:
         """``{place name: new value}`` for the slots in ``changed_mask``.
@@ -1103,23 +1282,6 @@ class CompiledJumpEngine:
         since_recompute = 0
 
         while now < horizon:
-            if interval == 1:
-                # exact per-jump reduction: left-to-right over the full
-                # table, 0.0 entries are bitwise no-ops, so this equals
-                # the interpreted engine's compact sum exactly
-                total_biased = sum(biased)
-                total = sum(orig) if has_bias else total_biased
-            elif since_recompute >= interval or self._total_biased <= 0.0:
-                total_biased = self._total_biased = sum(biased)
-                total = self._total = (
-                    sum(orig) if has_bias else total_biased
-                )
-                since_recompute = 0
-            else:
-                total_biased = self._total_biased
-                total = self._total if has_bias else total_biased
-            since_recompute += 1
-
             if self._n_active == 0:
                 # deadlock: the marking persists until the horizon
                 integrator.accumulate(cm, horizon - now)
@@ -1127,6 +1289,25 @@ class CompiledJumpEngine:
                     cm.export(), now, weight, False, math.inf, False,
                     firings, integrator.integrals,
                 )
+
+            # exact per-jump reduction: left-to-right over the full table
+            # (0.0 entries are bitwise no-ops), so the biased total is the
+            # last prefix sum and equals the interpreted engine's compact
+            # ``+=`` sum exactly; the selection below bisects the same list
+            cumulative = list(accumulate(biased))
+            if interval == 1:
+                total_biased = cumulative[-1]
+                total = _ltr_sum(orig) if has_bias else total_biased
+            elif since_recompute >= interval or self._total_biased <= 0.0:
+                total_biased = self._total_biased = cumulative[-1]
+                total = self._total = (
+                    _ltr_sum(orig) if has_bias else total_biased
+                )
+                since_recompute = 0
+            else:
+                total_biased = self._total_biased
+                total = self._total if has_bias else total_biased
+            since_recompute += 1
 
             holding = exponential(total_biased)
             if now + holding > horizon:
@@ -1140,7 +1321,6 @@ class CompiledJumpEngine:
             # replay choice_index: one uniform, resolved by prefix-sum
             # bisection (zero-rate entries are never selected)
             u = random() * total_biased
-            cumulative = list(accumulate(biased))
             index = bisect_right(cumulative, u)
             if index >= self._n:
                 # numerical edge u == total: last enabled activity, as in

@@ -53,8 +53,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.san.batched import (
-    BatchedJumpEngine,
+from repro.san.batched import BatchedJumpEngine
+from repro.san.compiled import trace_fire_programs
+from repro.san.lowering import (
     _build_tree,
     _CannotLower,
     _enumerate_paths,
@@ -62,7 +63,6 @@ from repro.san.batched import (
     _Node,
     _tree_expr,
 )
-from repro.san.compiled import trace_fire_programs
 from repro.san.simulator import SimulationRun, _RewardIntegrator
 
 __all__ = ["SteppedJumpEngine"]
@@ -280,76 +280,21 @@ class _TableGroup:
 
     __slots__ = ("group", "gate", "rate", "direct")
 
-    def __init__(self, compiled, group, extended: frozenset,
-                 defer: bool = False) -> None:
+    def __init__(self, group, defer: bool = False) -> None:
         self.group = group
         self.gate: Optional[_PartMemo] = None
         self.rate: Optional[_PartMemo] = None
         self.direct = False
-        members = [compiled.timed[i] for i in group.indices]
-        try:
-            gate_roles, rate_roles = self._derive_roles(
-                compiled.slot_of, members, extended
-            )
-        except (_CannotLower, KeyError, TypeError):
-            self.direct = True
-            return
         if group.gate_exprs:
-            self.gate = _PartMemo(gate_roles, is_float=False, defer=defer)
+            self.gate = _PartMemo(group.gate_roles, is_float=False,
+                                  defer=defer)
         if group.rate_expr is not None:
-            self.rate = _PartMemo(rate_roles, is_float=True, defer=defer)
+            self.rate = _PartMemo(group.rate_roles, is_float=True,
+                                  defer=defer)
         if (self.gate is not None and self.gate.dead) or (
             self.rate is not None and self.rate.dead
         ):
             self.direct = True
-
-    @staticmethod
-    def _derive_roles(slot_of, members, extended: frozenset) -> tuple:
-        """Name-aligned per-role slot vectors for gates and rate.
-
-        The trace runs once on the template member; the read name set
-        is code-determined (path enumeration never looks at values), so
-        the other members' slots come straight from their bindings.
-        """
-        template = members[0]
-        gate_roles: list = []
-        for position in range(len(template.input_gates)):
-            binding = template.input_gates[position].slot_binding(slot_of)
-            _expr, reads = _lower_group(
-                template.input_gates[position].predicate, [binding], extended
-            )
-            names = sorted(
-                name for name, slot in binding.items() if slot in reads
-            )
-            if reads - {binding[name] for name in names}:
-                raise _CannotLower("gate read outside its binding")
-            bindings = [
-                m.input_gates[position].slot_binding(slot_of)
-                for m in members
-            ]
-            for name in names:
-                gate_roles.append(np.array(
-                    [b[name] for b in bindings], dtype=np.intp
-                ))
-        rate_roles: list = []
-        _constant, rate_fn = template.exponential_parts()
-        if rate_fn is not None:
-            binding = rate_fn.slot_binding(slot_of)
-            _expr, reads = _lower_group(rate_fn.fn, [binding], extended)
-            names = sorted(
-                name for name, slot in binding.items() if slot in reads
-            )
-            if reads - {binding[name] for name in names}:
-                raise _CannotLower("rate read outside its binding")
-            bindings = [
-                m.exponential_parts()[1].slot_binding(slot_of)
-                for m in members
-            ]
-            for name in names:
-                rate_roles.append(np.array(
-                    [b[name] for b in bindings], dtype=np.intp
-                ))
-        return gate_roles, rate_roles
 
     def refresh(self, matrix, rows, Ro, Rb, alive_mask,
                 has_bias: bool, cache: Optional[dict] = None,
@@ -510,16 +455,11 @@ class SteppedJumpEngine(BatchedJumpEngine):
             for activity in compiled.timed
         ]
         self._insta_lowered = self._lower_insta()
-        extended = frozenset(
-            slot for slot, place in enumerate(compiled.places)
-            if place.is_extended
-        )
         #: per lowered group, its tabulated refresh (tables persist
         #: across batches — read-value combinations recur between sweep
         #: points, so later points start warm)
         self._tables = [
-            _TableGroup(compiled, group, extended, defer=self.diagnose)
-            for group in self._lowered
+            _TableGroup(group, defer=self.diagnose) for group in self._lowered
         ]
         #: table-memoised insta-gate scan: ``read values -> any enabled``
         #: keyed the same way as the refresh tables (the severity gates
@@ -570,7 +510,7 @@ class SteppedJumpEngine(BatchedJumpEngine):
             gate_exprs = []
             try:
                 for gate in activity.input_gates:
-                    expr, reads = _lower_group(
+                    expr, reads, _roles = _lower_group(
                         gate.predicate,
                         [gate.slot_binding(slot_of)],
                         extended,

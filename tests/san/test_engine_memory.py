@@ -4,7 +4,9 @@ A pool worker caches its built engines between chunks, so whatever an
 idle engine holds is paid once per cached context.  The batch engines
 build their per-row compiled delegate only when a run needs it
 (observed runs and ``simulate``), and release each batch's rows and
-marking matrix before ``run_batch`` returns.
+marking matrix before ``run_batch`` returns.  The delegate takes its
+refresh-memo footprints from the lowering the batch engine already ran,
+and diagnose engines build neither memo nor closures.
 """
 
 import gc
@@ -13,7 +15,8 @@ import weakref
 import pytest
 
 from repro.obs import Observation, TraceRecorder
-from repro.san import BatchedJumpEngine, SteppedJumpEngine
+from repro.san import BatchedJumpEngine, CompiledJumpEngine, SteppedJumpEngine
+from repro.san import compiled as compiled_module
 from repro.san.batched import _BatchCursor
 from repro.san.multipoint import MultiPointContext, MultiPointJob
 from repro.stochastic import StreamFactory
@@ -91,6 +94,44 @@ class TestLazyDelegate:
             engine.simulate()
         assert engine._compiled_delegate is None
         assert engine.fired_events == 0
+
+
+class TestSharedLowering:
+    def test_delegate_reuses_the_parents_lowering(self, engine_cls,
+                                                  monkeypatch):
+        passes = []
+        lower_timed = compiled_module.lower_timed
+
+        def counting(compiled):
+            passes.append(compiled)
+            return lower_timed(compiled)
+
+        monkeypatch.setattr(compiled_module, "lower_timed", counting)
+        model, *_ = make_two_state_model()
+        engine = engine_cls(model)
+        assert passes == [engine.compiled]
+        delegate = engine._delegate
+        assert passes == [engine.compiled]
+        assert delegate.compiled.lowering() is engine.compiled.lowering()
+        engine.simulate(None, 0.0, 6.0, streams(15, 1)[0])
+        stats = delegate.refresh_stats()
+        # one memo per gate-code group, each holding both token counts
+        assert len(delegate._memos) == 2
+        assert stats["hits"] > 0 and stats["entries"] == 4
+        assert passes == [engine.compiled]
+
+    def test_diagnose_builds_no_memo_and_no_closures(self, engine_cls,
+                                                     monkeypatch):
+        memos = []
+        monkeypatch.setattr(CompiledJumpEngine, "_bind_memo",
+                            lambda engine: memos.append(engine))
+        model, *_ = make_two_state_model()
+        engine = engine_cls(model, diagnose=True)
+        assert engine.lowering_stats()["lowered"] == 2
+        assert engine._delegate is None
+        assert memos == []
+        assert (engine._choosers, engine._firers, engine._insta) == ([], [], [])
+        assert engine._fb_enabled == [] and engine._fb_rate_fns == []
 
 
 class TestBatchRelease:
