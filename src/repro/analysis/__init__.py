@@ -11,10 +11,10 @@
   state (bit-identical replay across engines and worker counts);
 * :mod:`~repro.analysis.structural` — P-invariants, disconnected
   places, never-enabled activities, instantaneous-activity cycles;
-* :mod:`~repro.analysis.vectorize` — which activities the batched
+* :mod:`~repro.analysis.vectorize` — which activities the stepped
   engine lowers to column kernels and why the rest fall back;
 * :mod:`~repro.analysis.lowering` — the static lowering verifier:
-  extracts the typed kernel IR of the batched/stepped compile and
+  extracts the typed kernel IR of the stepped compile and
   verifies it by abstract interpretation over the reachable envelope
   (value ranges, NaN-sentinel collisions, table-span bounds, case
   normalization, AST/lowered footprint parity), plus the

@@ -1,7 +1,7 @@
 """Static lowering verifier (LW001-LW007) + tensor predictor (TZ001-TZ003).
 
-The batched/stepped compile pass (:mod:`repro.san.batched`,
-:mod:`repro.san.stepped`) turns gate predicates and rates into lowered
+The stepped engine's compile pass (:mod:`repro.san.stepped`,
+:mod:`repro.san.lowering`) turns gate predicates and rates into lowered
 column trees, per-(activity, case) delta programs and direct-address
 refresh tables.  Simulation correctness then rests on properties of
 *those* artifacts — not of the source model — which until now were only
@@ -112,7 +112,7 @@ def _part_spec(part) -> Optional[dict]:
 
 @dataclass
 class KernelIR:
-    """The typed kernel IR of one model's batched/stepped compile.
+    """The typed kernel IR of one model's stepped compile.
 
     Everything in here is derived from a diagnose-mode compile —
     deterministic for a given model, so :meth:`digest` is a stable

@@ -1,6 +1,6 @@
 """Vectorization report (rules VEC001-VEC003).
 
-Runs the batched engine's compile pass in diagnose mode (nothing is
+Runs the stepped engine's compile pass in diagnose mode (nothing is
 simulated) and reports which timed activities lowered to fused NumPy
 column kernels and which fell back to per-row compiled closures — with
 the recorded ``_CannotLower`` reason, so a perf cliff shows up in lint
@@ -27,8 +27,8 @@ _FALLBACK_WARN_FRACTION = 0.5
 def lowering_summary(model: SANModel) -> Optional[dict]:
     """``{stats, reasons}`` from a diagnose-mode stepped compile.
 
-    The stepped engine subsumes the batched compile pass, so its stats
-    carry the batched lowering coverage plus the stepped-only figures:
+    The stats carry the lowering coverage of gates and rates plus the
+    figures of the rest of the step loop:
     ``fire_cases``/``fire_lowered`` (delta-program firing coverage),
     ``insta_lowered`` (instantaneous gate conjunctions) and
     ``groups_tabulated`` (refresh groups served by direct-address
@@ -49,7 +49,7 @@ def lowering_summary(model: SANModel) -> Optional[dict]:
 
 
 def check_vectorization(model: SANModel) -> Iterator[Diagnostic]:
-    """Run VEC001-VEC003 via a diagnose-mode batched compile."""
+    """Run VEC001-VEC003 via a diagnose-mode stepped compile."""
     summary = lowering_summary(model)
     if summary is None:
         reason = (
@@ -59,7 +59,7 @@ def check_vectorization(model: SANModel) -> Iterator[Diagnostic]:
         )
         yield Diagnostic(
             "VEC003",
-            f"batched engine not applicable ({reason}); "
+            f"stepped engine not applicable ({reason}); "
             f"vectorization report skipped",
         )
         return
@@ -84,6 +84,6 @@ def check_vectorization(model: SANModel) -> Iterator[Diagnostic]:
         yield Diagnostic(
             "VEC002",
             f"{fallback}/{timed} timed activities are not vectorized; "
-            f"the batched engine will run mostly on the per-row "
+            f"the stepped engine will run mostly on the per-row "
             f"fallback, forfeiting its throughput advantage",
         )

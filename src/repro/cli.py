@@ -175,15 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="compiled",
         choices=list(ENGINES),
         help="jump-chain executor for the simulation methods "
-        "(seed-identical results; compiled runs one replication per call; "
-        "batched and stepped advance a batch of replications in NumPy, "
-        "stepped the fastest)",
+        "(seed-identical results; compiled runs one replication per call, "
+        "stepped advances a batch of replications in NumPy, interpreted is "
+        "the reference oracle)",
     )
     uns.add_argument(
         "--batch-size",
         type=int,
         default=256,
-        help="batch width for --engine batched or stepped (throughput knob "
+        help="batch width for --engine stepped (throughput knob "
         "only; results are bit-identical at any width)",
     )
     uns.add_argument(
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=256,
-        help="batch width for --engine batched or stepped",
+        help="batch width for --engine stepped",
     )
     trc.add_argument(
         "--boost",

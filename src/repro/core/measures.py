@@ -101,14 +101,13 @@ def unsafety(
         :data:`~repro.san.compiled.ENGINES`, all bit-identical per seed.
         ``"compiled"`` (the default) is the scalar kernel, one
         replication per call; ``"interpreted"`` is the reference
-        executor, useful when debugging gate code; ``"batched"`` and
-        ``"stepped"`` advance a batch of replications through a NumPy
-        structure-of-arrays kernel, ``"stepped"`` being the fastest when
-        a call carries many replications.  ``analytical`` and ``approx``
-        ignore it.
+        executor, useful when debugging gate code; ``"stepped"``
+        advances a batch of replications through a NumPy
+        structure-of-arrays kernel, the fastest when a call carries many
+        replications.  ``analytical`` and ``approx`` ignore it.
     batch_size:
-        Batch width for the batch engines, ``"batched"`` and
-        ``"stepped"`` (ignored by the others).  Purely a throughput
+        Batch width for the ``"stepped"`` engine (ignored by the
+        others).  Purely a throughput
         knob — estimates, draw counts and IS weights are identical at
         every width.
     observer:

@@ -173,10 +173,10 @@ class Orchestrator:
         the stepped engine advances as one batch several times faster
         than the scalar ``"compiled"`` kernel, with bit-identical
         results.  Splitting points run one trajectory per call, so under
-        a batch engine they take ``"compiled"``; so do the serial paths
-        outside the orchestrator (``unsafety``, importance sampling,
-        splitting, ``trace``), where a batch engine would run batches of
-        one.
+        the stepped engine they take ``"compiled"``; so do the serial
+        paths outside the orchestrator (``unsafety``, importance
+        sampling, splitting, ``trace``), where the stepped engine would
+        run batches of one.
     sweep_batch:
         When True, each round's chunk jobs are dispatched to the pool in
         point-contiguous groups (one pool task per group; see
@@ -303,10 +303,10 @@ class Orchestrator:
                 boost=self.estimator_policy.boost,
             )
         if estimator == "splitting":
-            # splitting runs one trajectory per call, which a batch engine
-            # would only hand to its compiled delegate after building its
-            # own tables
-            serial = self.engine in ("batched", "stepped")
+            # splitting runs one trajectory per call, which the stepped
+            # engine would only hand to its compiled delegate after
+            # building its own tables
+            serial = self.engine == "stepped"
             return SplittingReplicationTask(
                 params=point.params,
                 times=point.times,

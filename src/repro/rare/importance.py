@@ -96,9 +96,8 @@ class ImportanceSamplingEstimator:
         the underlying engine.  Instrumentation never touches the RNG
         stream, so the likelihood-ratio weights are unchanged by it.
     batch_size:
-        Batch width for the batch engines, ``"batched"`` and
-        ``"stepped"`` (the others ignore it); the weights are
-        bit-identical at any width.
+        Batch width for the ``"stepped"`` engine (the others ignore
+        it); the weights are bit-identical at any width.
     """
 
     def __init__(

@@ -34,8 +34,7 @@ from repro.san.compiled import (
     compile_model,
     make_jump_engine,
 )
-from repro.san.batched import DEFAULT_BATCH_SIZE, BatchedJumpEngine
-from repro.san.stepped import SteppedJumpEngine
+from repro.san.stepped import DEFAULT_BATCH_SIZE, SteppedJumpEngine
 from repro.san.multipoint import (
     MultiPointContext,
     MultiPointJob,
@@ -76,7 +75,6 @@ __all__ = [
     "MarkovJumpSimulator",
     "SimulationRun",
     "ENGINES",
-    "BatchedJumpEngine",
     "SteppedJumpEngine",
     "MultiPointContext",
     "MultiPointJob",

@@ -16,6 +16,12 @@ RateLike = Union[float, int, MarkingFunction]
 ProbLike = Union[float, int, MarkingFunction]
 
 
+def rate_error(name: str, value: float) -> ValueError:
+    """The error for an enabled activity whose rate is negative or NaN."""
+    problem = "rate is NaN" if value != value else f"negative rate {value}"
+    return ValueError(f"activity {name!r}: {problem}")
+
+
 class Case:
     """One probabilistic outcome of an activity completion.
 
@@ -195,7 +201,8 @@ class TimedActivity(_ActivityBase):
         """Exponential rate in ``marking``.
 
         A marking-dependent rate may evaluate to 0, meaning "enabled but
-        firing at rate zero" (treated as disabled by both engines).
+        firing at rate zero" (treated as disabled by every engine); a
+        negative or NaN value raises ``ValueError``.
 
         Raises
         ------
@@ -205,10 +212,8 @@ class TimedActivity(_ActivityBase):
         if self.rate is not None:
             if isinstance(self.rate, MarkingFunction):
                 value = float(self.rate(marking))
-                if value < 0.0:
-                    raise ValueError(
-                        f"activity {self.name!r}: negative rate {value}"
-                    )
+                if not value >= 0.0:
+                    raise rate_error(self.name, value)
                 return value
             return self.rate
         if self.distribution is not None and self.distribution.is_exponential:

@@ -54,7 +54,11 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
-from repro.san.activities import InstantaneousActivity, TimedActivity
+from repro.san.activities import (
+    InstantaneousActivity,
+    TimedActivity,
+    rate_error,
+)
 from repro.san.lowering import Lowering, lower_timed
 from repro.san.marking import Marking, MarkingFunction
 from repro.san.model import SANModel
@@ -81,7 +85,7 @@ __all__ = [
 ]
 
 #: engine names accepted by :func:`make_jump_engine` and the CLI ``--engine``
-ENGINES = ("interpreted", "compiled", "batched", "stepped")
+ENGINES = ("interpreted", "compiled", "stepped")
 
 #: entries one lowered group's refresh memo holds before it is cleared
 #: (at n = 10 a 192-replication importance-sampling answer stores ~0.9k
@@ -95,7 +99,7 @@ def _ltr_sum_accumulate(values) -> float:
 
 
 #: the left-to-right float sum that the interpreted engine's ``+=`` loop,
-#: the batch engines' ``np.cumsum`` and ``accumulate`` all compute.  Before
+#: the stepped engine's ``np.cumsum`` and ``accumulate`` all compute.  Before
 #: CPython 3.12 builtin ``sum`` is that reduction (and ~4x faster than
 #: ``accumulate``); from 3.12 on it compensates (Neumaier), which changes
 #: the last bits of the total on most jumps of the paper model
@@ -323,9 +327,9 @@ class CompiledModel:
     def lowering(self) -> Lowering:
         """The branch-path lowering of the timed activities.
 
-        Run on first use and kept: the batch engines build their column
+        Run on first use and kept: the stepped engine builds its column
         kernels from it and the compiled engine its refresh-memo
-        footprints, so every engine bound to this model — a batch
+        footprints, so every engine bound to this model — the stepped
         engine's per-row delegate included — shares one pass.
         """
         if self._lowering is None:
@@ -437,7 +441,7 @@ def _compile_rate(
     """``(constant, None)`` or ``(0.0, closure)`` for the activity's rate.
 
     The closure mirrors :meth:`TimedActivity.rate_in` exactly, including
-    the negative-rate guard and its message.
+    the negative/NaN-rate guard and its message.
     """
     constant, fn = activity.exponential_parts()
     if fn is None:
@@ -448,8 +452,8 @@ def _compile_rate(
 
     def rate() -> float:
         value = float(raw(view))
-        if value < 0.0:
-            raise ValueError(f"activity {name!r}: negative rate {value}")
+        if not value >= 0.0:
+            raise rate_error(name, value)
         return value
 
     return 0.0, rate
@@ -1386,30 +1390,23 @@ def make_jump_engine(
 ):
     """The jump-chain executor for ``engine`` ∈ :data:`ENGINES`.
 
-    ``"compiled"`` (default) builds a :class:`CompiledJumpEngine`;
-    ``"interpreted"`` the original
-    :class:`~repro.san.simulator.MarkovJumpSimulator`; ``"batched"`` the
-    lockstep NumPy kernel (:class:`~repro.san.batched.BatchedJumpEngine`);
-    ``"stepped"`` the per-batch-step kernel on top of it
+    ``"compiled"`` (default) builds a :class:`CompiledJumpEngine`, the
+    scalar path that runs one replication per call; ``"interpreted"``
+    the original :class:`~repro.san.simulator.MarkovJumpSimulator`, the
+    oracle (plain dict-backed markings, handy when debugging gate code);
+    ``"stepped"`` the lockstep NumPy batch kernel
     (:class:`~repro.san.stepped.SteppedJumpEngine`, fastest for large
-    replication counts — ``batch_size`` sets the default lockstep width
-    of both).  All four produce bit-identical results for the same seed;
-    fall back to ``interpreted`` when debugging gate code (plain
-    dict-backed markings) — see ``docs/engine_perf.md``.  ``observer``
-    attaches an observability hook (:mod:`repro.obs`) to any engine (the
-    batch engines then delegate traced runs to their per-row compiled
-    path, keeping RNG invariance).
+    replication counts — ``batch_size`` sets its default lockstep
+    width).  All three produce bit-identical results for the same seed —
+    see ``docs/engine_perf.md``.  ``observer`` attaches an observability
+    hook (:mod:`repro.obs`) to any engine (the stepped engine then
+    delegates traced runs to its per-row compiled path, keeping RNG
+    invariance).
     """
     if engine == "compiled":
         return CompiledJumpEngine(model, bias=bias, observer=observer)
     if engine == "interpreted":
         return MarkovJumpSimulator(model, bias=bias, observer=observer)
-    if engine == "batched":
-        from repro.san.batched import BatchedJumpEngine
-
-        return BatchedJumpEngine(
-            model, bias=bias, observer=observer, batch_size=batch_size
-        )
     if engine == "stepped":
         from repro.san.stepped import SteppedJumpEngine
 

@@ -78,9 +78,9 @@ def describe_model(model: SANModel, max_items: int | None = None) -> str:
 
 
 def describe_lowering(engine) -> str:
-    """Per-activity lowering table of a :class:`BatchedJumpEngine`.
+    """Per-activity lowering table of a :class:`SteppedJumpEngine`.
 
-    One row per timed activity: ``vectorized`` when the batched compile
+    One row per timed activity: ``vectorized`` when the stepped compile
     pass lowered its gates/rate to column kernels, or ``fallback`` with
     the recorded ``_CannotLower`` reason.  The header repeats
     ``lowering_stats()`` so the table is self-contained in reports.
@@ -88,7 +88,7 @@ def describe_lowering(engine) -> str:
     stats = engine.lowering_stats()
     reasons: dict[str, str] = getattr(engine, "fallback_reasons", {})
     lines = [
-        f"batched lowering for model {engine.model.name!r}: "
+        f"stepped lowering for model {engine.model.name!r}: "
         f"{stats['lowered']}/{stats['timed_activities']} timed activities "
         f"vectorized in {stats['groups']} group(s), "
         f"{stats['fallback']} on the per-row fallback"

@@ -1,6 +1,6 @@
 """Branch-path lowering of SAN gate predicates and rate functions.
 
-The batch engines evaluate the timed activities' enabling predicates and
+The stepped engine evaluates the timed activities' enabling predicates and
 rates as column expressions over a ``(B, n_slots)`` marking matrix, and
 the compiled engine memoises each activity's refresh on the marking
 values those expressions can read.  Both rest on one pass, kept here:

@@ -4,7 +4,7 @@ The ROADMAP's compile-once item needs a place where servable models
 *live*: the four built-in AHS strategy models and any user-defined SAN
 register here under a stable name with a builder callable.  Admission
 (:func:`admit`) runs the full static analyzer over the built model and
-extracts the kernel IR of its batched/stepped compile
+extracts the kernel IR of its stepped compile
 (:func:`repro.analysis.extract_kernel_ir`); lint-clean models get their
 :class:`~repro.analysis.AnalysisReport` and lowering-IR digest stored in
 the content-addressed :class:`~repro.runtime.cache.ResultCache`, keyed

@@ -121,7 +121,7 @@ class TestModelsDescribe:
         out = capsys.readouterr().out
         assert code == 0
         assert "ir digest" in out
-        assert "batched lowering" in out
+        assert "stepped lowering" in out
         assert "vectorized" in out
 
     def test_describe_requires_name(self, capsys):

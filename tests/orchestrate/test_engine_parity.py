@@ -92,8 +92,8 @@ def test_default_engine_is_stepped():
 
 @pytest.mark.parametrize(
     "engine, expected",
-    [("stepped", "compiled"), ("batched", "compiled"),
-     ("compiled", "compiled"), ("interpreted", "interpreted")],
+    [("stepped", "compiled"), ("compiled", "compiled"),
+     ("interpreted", "interpreted")],
 )
 def test_splitting_points_run_serially(engine, expected):
     # one trajectory per call: a batch engine would build its tables only

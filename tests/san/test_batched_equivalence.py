@@ -1,15 +1,19 @@
-"""Bit-exact equivalence of the batched and compiled jump engines.
+"""Bit-exact equivalence of batched runs and the compiled jump engine.
 
-The batched engine (:mod:`repro.san.batched`) advances a lockstep batch
-of replications through a NumPy structure-of-arrays kernel, but promises
-*exactly* the per-stream results of
-:class:`~repro.san.compiled.CompiledJumpEngine` — same draw order, same
-selections, same importance-sampling likelihood-ratio weights — at any
-batch size.  This suite enforces the contract on the same model zoo as
-``test_compiled_equivalence.py``: the conftest two-state SAN, the
-marking-dependent branchy model, the One_vehicle submodel, the composed
-2n-replica AHS model, biased importance sampling, deadlock/survival edge
-cases, observer invariance, and hypothesis-generated random SANs.
+The stepped engine (:mod:`repro.san.stepped`) is the one batch engine:
+it advances a lockstep batch of replications through a NumPy
+structure-of-arrays kernel, but promises *exactly* the per-stream
+results of :class:`~repro.san.compiled.CompiledJumpEngine` — same draw
+order, same selections, same importance-sampling likelihood-ratio
+weights — at any batch size.  This suite holds batched runs to that
+contract at width 1 and through the surfaces around the kernel: the
+same model zoo as ``test_compiled_equivalence.py`` (two-state SAN,
+branchy model, One_vehicle submodel, composed AHS model, biased
+importance sampling, deadlock/survival edge cases, random SANs), the
+importance-sampling estimator, pooled confidence intervals, observer
+delegation, rate rewards through the compiled delegate, constructor
+validation and engine dispatch.  ``test_stepped_equivalence.py`` covers
+wider batches and the step loop's own machinery.
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ from repro.core.configuration_model import SharedPlaces
 from repro.core.parameters import AHSParameters
 from repro.rare import FailureBiasing, ImportanceSamplingEstimator
 from repro.san import (
-    BatchedJumpEngine,
+    ENGINES,
     Case,
     CompiledJumpEngine,
     MarkovJumpSimulator,
     Place,
     SANModel,
+    SteppedJumpEngine,
     TimedActivity,
     input_arc,
     make_jump_engine,
@@ -63,12 +68,12 @@ def run_batch_both(
 ):
     """(compiled runs, batched runs, draw-count lists) under one seed.
 
-    The compiled reference executes the streams one by one; the batched
-    candidate executes them through ``run_batch`` sliced at
+    The compiled reference executes the streams one by one; the stepped
+    engine executes them through ``run_batch`` sliced at
     ``batch_size``.  Per-stream results must be bit-identical.
     """
     compiled = CompiledJumpEngine(model, bias=bias)
-    batched = BatchedJumpEngine(model, bias=bias, batch_size=batch_size)
+    batched = SteppedJumpEngine(model, bias=bias, batch_size=batch_size)
     streams_a = StreamFactory(seed).stream_batch("eq", n_streams)
     streams_b = StreamFactory(seed).stream_batch("eq", n_streams)
     runs_a = [
@@ -113,7 +118,7 @@ def test_two_state_b1_identical(seed):
 
 def test_run_matches_run_batch_of_one():
     model, up, down = make_two_state_model()
-    engine = BatchedJumpEngine(model)
+    engine = SteppedJumpEngine(model, batch_size=1)
     run_single = engine.run(StreamFactory(5).stream("eq"), 25.0)
     [run_batch] = engine.run_batch([StreamFactory(5).stream("eq")], 25.0)
     assert_runs_identical(run_single, run_batch, [up, down])
@@ -223,7 +228,7 @@ def test_importance_estimator_batched_agrees():
         boost=50.0, name_predicate=lambda name: name.startswith("L_FM")
     )
     estimates = {}
-    for engine, width in (("compiled", 256), ("batched", 16), ("batched", 256)):
+    for engine, width in (("compiled", 256), ("stepped", 16), ("stepped", 256)):
         estimator = ImportanceSamplingEstimator(
             ahs.model,
             ahs.unsafe_predicate(),
@@ -236,7 +241,7 @@ def test_importance_estimator_batched_agrees():
         )
     reference = estimates[("compiled", 256)]
     for width in (16, 256):
-        candidate = estimates[("batched", width)]
+        candidate = estimates[("stepped", width)]
         # bit-identical, which trivially satisfies the pooled-CI criterion
         assert list(candidate.values) == list(reference.values)
         assert list(candidate.half_widths) == list(reference.half_widths)
@@ -270,7 +275,7 @@ def test_batched_estimates_within_pooled_confidence_intervals():
 
     reference = estimate("compiled", 256)
     for width in (16, 256):
-        candidate = estimate("batched", width)
+        candidate = estimate("stepped", width)
         for ref_v, ref_h, cand_v, cand_h in zip(
             reference.values,
             reference.half_widths,
@@ -286,7 +291,7 @@ def test_batched_estimates_within_pooled_confidence_intervals():
 # observer invariance
 # ----------------------------------------------------------------------
 def test_observer_forces_delegation_and_preserves_rng():
-    """A traced batched engine must produce the compiled engine's exact
+    """A traced stepped engine must produce the compiled engine's exact
     trace *and* the exact untraced results (instrumentation never touches
     the RNG stream)."""
     from repro.obs import Observation, TraceRecorder
@@ -312,14 +317,14 @@ def test_observer_forces_delegation_and_preserves_rng():
         return runs, events, [s.draw_count for s in streams]
 
     runs_c, trace_c, draws_c = traced_runs("compiled")
-    runs_b, trace_b, draws_b = traced_runs("batched")
+    runs_b, trace_b, draws_b = traced_runs("stepped")
     assert draws_b == draws_c
     assert trace_b == trace_c
     for run_c, run_b in zip(runs_c, runs_b):
         assert_runs_identical(run_c, run_b, ahs.model.places)
 
     # and the untraced batched results are the same as the traced ones
-    plain = BatchedJumpEngine(ahs.model, batch_size=4)
+    plain = SteppedJumpEngine(ahs.model, batch_size=4)
     streams = StreamFactory(13).stream_batch("obs", 8)
     runs_plain = []
     for start in range(0, 8, 4):
@@ -349,10 +354,18 @@ def test_random_sans_batched_identical(data):
 # engine mechanics
 # ----------------------------------------------------------------------
 def test_make_jump_engine_dispatch_batched():
+    """``batched`` is no engine name any more: dispatch and the CLI
+    reject it, listing the three engines that remain."""
     model, _up, _down = make_two_state_model()
-    engine = make_jump_engine(model, engine="batched", batch_size=32)
-    assert isinstance(engine, BatchedJumpEngine)
-    assert engine.batch_size == 32
+    assert ENGINES == ("interpreted", "compiled", "stepped")
+    with pytest.raises(ValueError, match="unknown engine 'batched'") as got:
+        make_jump_engine(model, engine="batched", batch_size=32)
+    for name in ENGINES:
+        assert repr(name) in str(got.value)
+    assert isinstance(
+        make_jump_engine(model, engine="stepped", batch_size=32),
+        SteppedJumpEngine,
+    )
     assert isinstance(
         make_jump_engine(model, engine="interpreted"), MarkovJumpSimulator
     )
@@ -363,14 +376,23 @@ def test_make_jump_engine_dispatch_batched():
         make_jump_engine(model, engine="turbo")
 
 
+def test_cli_rejects_the_batched_engine(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exited:
+        main(["unsafety", "--method", "simulation", "--engine", "batched"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'batched'" in capsys.readouterr().err
+
+
 def test_constructor_validation():
     model, _up, _down = make_two_state_model()
     with pytest.raises(ValueError, match="batch_size"):
-        BatchedJumpEngine(model, batch_size=0)
+        SteppedJumpEngine(model, batch_size=0)
     with pytest.raises(ValueError, match="bias refers to unknown activities"):
-        BatchedJumpEngine(model, bias={"nope": 2.0})
+        SteppedJumpEngine(model, bias={"nope": 2.0})
     with pytest.raises(ValueError, match="must be finite and > 0"):
-        BatchedJumpEngine(model, bias={"fail": -1.0})
+        SteppedJumpEngine(model, bias={"fail": -1.0})
     from repro.stochastic.distributions import Deterministic
 
     semi_markov = SANModel("semi")
@@ -384,12 +406,12 @@ def test_constructor_validation():
         )
     )
     with pytest.raises(TypeError, match="requires exponential activities"):
-        BatchedJumpEngine(semi_markov)
+        SteppedJumpEngine(semi_markov)
 
 
 def test_fired_events_counter_batched():
     model, _up, _down = make_two_state_model()
-    engine = BatchedJumpEngine(model, batch_size=4)
+    engine = SteppedJumpEngine(model, batch_size=4)
     assert engine.fired_events == 0
     runs = engine.run_batch(StreamFactory(1).stream_batch("ev", 4), 10.0)
     assert engine.fired_events == sum(r.firings for r in runs)
@@ -400,7 +422,7 @@ def test_lowering_covers_paper_model_gates():
     to column ops — including the per-vehicle maneuver activities, whose
     occupancy helpers are kept float()-free precisely so they trace."""
     ahs = build_composed_model(AHSParameters(max_platoon_size=3))
-    engine = BatchedJumpEngine(ahs.model)
+    engine = SteppedJumpEngine(ahs.model)
     stats = engine.lowering_stats()
     assert stats["timed_activities"] == stats["lowered"] + stats["fallback"]
     assert stats["fallback"] == 0
@@ -408,23 +430,21 @@ def test_lowering_covers_paper_model_gates():
 
     # a purely structural model lowers completely
     model, _up, _down = make_two_state_model()
-    assert BatchedJumpEngine(model).lowering_stats()["fallback"] == 0
+    assert SteppedJumpEngine(model).lowering_stats()["fallback"] == 0
 
 
 def test_rate_rewards_batched():
+    """Rate-reward runs go through the compiled delegate: every field
+    and every draw matches the compiled engine bit for bit."""
     model, up, down = make_two_state_model()
     reward = RateReward(
         "down_frac", MarkingFunction({"d": down}, lambda g: g["d"])
     )
-    compiled = CompiledJumpEngine(model)
-    batched = BatchedJumpEngine(model, batch_size=8)
-    runs_a = [
-        compiled.run(s, 25.0, rate_rewards=[reward])
-        for s in StreamFactory(6).stream_batch("rw", 8)
-    ]
-    runs_b = batched.run_batch(
-        StreamFactory(6).stream_batch("rw", 8), 25.0, rate_rewards=[reward]
+    runs_a, runs_b, draws_a, draws_b = run_batch_both(
+        model, seed=6, horizon=25.0, n_streams=8, batch_size=8,
+        rewards=[reward],
     )
+    assert_batch_identical(runs_a, runs_b, draws_a, draws_b, [up, down])
     for run_a, run_b in zip(runs_a, runs_b):
         assert run_a.reward_integrals == run_b.reward_integrals
         assert run_a.reward_integrals["down_frac"] > 0.0

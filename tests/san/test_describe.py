@@ -57,10 +57,10 @@ class TestDescribe:
 class TestDescribeLowering:
     def test_fully_vectorized_model(self):
         np = pytest.importorskip("numpy")  # noqa: F841 - gate on numpy
-        from repro.san import BatchedJumpEngine
+        from repro.san import SteppedJumpEngine
 
         model, *_ = make_two_state_model()
-        text = describe_lowering(BatchedJumpEngine(model))
+        text = describe_lowering(SteppedJumpEngine(model))
         assert "2/2 timed activities" in text
         assert "fail" in text and "repair" in text
         assert "0 on the per-row fallback" in text
@@ -69,10 +69,10 @@ class TestDescribeLowering:
     def test_fallback_rows_carry_reasons(self):
         np = pytest.importorskip("numpy")  # noqa: F841
         from repro.san import (
-            BatchedJumpEngine,
             MarkingFunction,
             Place,
             SANModel,
+            SteppedJumpEngine,
             TimedActivity,
             input_arc,
         )
@@ -86,21 +86,20 @@ class TestDescribeLowering:
                 input_gates=[input_arc(place)],
             )
         )
-        text = describe_lowering(BatchedJumpEngine(model))
+        text = describe_lowering(SteppedJumpEngine(model))
         assert "0/1 timed activities" in text
         assert "drain" in text
         assert "fallback (float() coercion)" in text
 
     def test_diagnose_engine_renders_identically(self):
         np = pytest.importorskip("numpy")  # noqa: F841
-        from repro.san import BatchedJumpEngine, SteppedJumpEngine
+        from repro.san import SteppedJumpEngine
 
         model, *_ = make_two_state_model()
-        runtime_text = describe_lowering(BatchedJumpEngine(model))
-        for cls in (BatchedJumpEngine, SteppedJumpEngine):
-            assert describe_lowering(cls(model, diagnose=True)) == (
-                runtime_text
-            )
+        runtime_text = describe_lowering(SteppedJumpEngine(model))
+        assert describe_lowering(SteppedJumpEngine(model, diagnose=True)) == (
+            runtime_text
+        )
 
 
 class TestDot:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.san import (
-    BatchedJumpEngine,
     SteppedJumpEngine,
     tensor_compatible,
 )
@@ -11,7 +10,7 @@ from repro.stochastic import StreamFactory
 from tests.conftest import make_two_state_model
 
 
-@pytest.fixture(params=[BatchedJumpEngine, SteppedJumpEngine])
+@pytest.fixture(params=[SteppedJumpEngine])
 def diagnose_engine(request):
     model, *_ = make_two_state_model()
     return request.param(model, diagnose=True)
@@ -43,7 +42,7 @@ class TestDiagnoseMode:
 
     def test_simulate_refuses(self):
         model, *_ = make_two_state_model()
-        engine = BatchedJumpEngine(model, diagnose=True)
+        engine = SteppedJumpEngine(model, diagnose=True)
         with pytest.raises(RuntimeError, match="diagnose=True"):
             engine.simulate()
 
@@ -76,7 +75,7 @@ class TestDiagnoseMode:
 
     def test_default_engines_unchanged(self):
         model, *_ = make_two_state_model()
-        engine = BatchedJumpEngine(model)
+        engine = SteppedJumpEngine(model)
         assert engine.diagnose is False
         assert engine._delegate is not None
         stream = StreamFactory(11).stream("y")

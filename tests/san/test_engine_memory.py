@@ -1,12 +1,13 @@
-"""Per-engine memory hygiene of the batch engines.
+"""Per-engine memory hygiene of the batch engine.
 
 A pool worker caches its built engines between chunks, so whatever an
-idle engine holds is paid once per cached context.  The batch engines
-build their per-row compiled delegate only when a run needs it
-(observed runs and ``simulate``), and release each batch's rows and
-marking matrix before ``run_batch`` returns.  The delegate takes its
-refresh-memo footprints from the lowering the batch engine already ran,
-and diagnose engines build neither memo nor closures.
+idle engine holds is paid once per cached context.  The stepped engine
+builds its per-row compiled delegate only when a run needs it
+(observed runs, rate rewards and ``simulate``), and its step loop
+releases each batch's rows and marking matrix before ``run_batch``
+returns.  The delegate takes its refresh-memo footprints from the
+lowering the stepped engine already ran, and diagnose engines build
+neither memo nor closures.
 """
 
 import gc
@@ -15,14 +16,14 @@ import weakref
 import pytest
 
 from repro.obs import Observation, TraceRecorder
-from repro.san import BatchedJumpEngine, CompiledJumpEngine, SteppedJumpEngine
+from repro.san import CompiledJumpEngine, SteppedJumpEngine
 from repro.san import compiled as compiled_module
-from repro.san.batched import _BatchCursor
+from repro.san.stepped import _BatchCursor
 from repro.san.multipoint import MultiPointContext, MultiPointJob
 from repro.stochastic import StreamFactory
 from tests.conftest import make_two_state_model
 
-BATCH_ENGINES = [BatchedJumpEngine, SteppedJumpEngine]
+BATCH_ENGINES = [SteppedJumpEngine]
 
 
 def streams(seed, count):

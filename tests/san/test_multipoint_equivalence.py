@@ -6,11 +6,14 @@ engine's batch-step loop once over all B = R·P rows.  The contract it
 must keep: for every job, the returned :class:`SimulationRun` objects —
 end times, stop flags, stop times, importance-sampling weights, firing
 counts, final markings — and the per-stream draw order are *bit
-identical* to what that job's own engine would produce running the job
-alone via :meth:`SteppedJumpEngine.run_batch`.  This suite enforces the
-contract at several (R, P) shapes, on a ragged sweep (mixed platoon
-sizes padded to the widest point's layout), under importance-sampling
-bias, and across jobs that share one engine object.
+identical* to what :class:`~repro.san.compiled.CompiledJumpEngine`
+produces running each stream alone.  (The reference is the compiled
+engine rather than a single-point ``run_batch``: that is the same step
+loop with one job, so it could not disagree with itself.)  This suite
+enforces the contract at several (R, P) shapes, on a ragged sweep
+(mixed platoon sizes padded to the widest point's layout), under
+importance-sampling bias, and across jobs that share one engine
+object.
 
 The padding argument these tests pin down empirically: a narrow point's
 rows carry trailing zero rate columns, which leave the row's cumsum
@@ -26,7 +29,7 @@ from repro.core.composed import build_composed_model
 from repro.core.parameters import AHSParameters
 from repro.rare import FailureBiasing
 from repro.san import (
-    BatchedJumpEngine,
+    CompiledJumpEngine,
     MultiPointContext,
     MultiPointJob,
     SteppedJumpEngine,
@@ -45,7 +48,7 @@ def make_ahs(n):
 
 
 def make_point(n, biased=False, batch_size=64):
-    """(tensor engine, solo reference engine, predicate, places).
+    """(tensor engine, compiled reference engine, predicate, places).
 
     Both engines compile the *same* model object so their markings share
     ``Place`` identities and compare directly.
@@ -59,14 +62,19 @@ def make_point(n, biased=False, batch_size=64):
         else None
     )
     engine_t = SteppedJumpEngine(ahs.model, bias=bias, batch_size=batch_size)
-    engine_s = SteppedJumpEngine(ahs.model, bias=bias, batch_size=batch_size)
+    engine_s = CompiledJumpEngine(ahs.model, bias=bias)
     return engine_t, engine_s, ahs.unsafe_predicate(), list(
         engine_t.compiled.places
     )
 
 
+def solo_runs(engine, streams, horizon, predicate):
+    """The compiled reference: each stream run on its own."""
+    return [engine.run(stream, horizon, predicate) for stream in streams]
+
+
 def run_both_ways(point_specs, reps, seed=7):
-    """Tensorized vs per-point runs for ``point_specs`` = [(n, horizon)].
+    """Tensorized vs per-stream runs for ``point_specs`` = [(n, horizon)].
 
     Returns ``[(tensor_runs, solo_runs, places, draws_t, draws_s)]`` —
     one tuple per point, with per-stream draw-count lists from each path.
@@ -86,7 +94,7 @@ def run_both_ways(point_specs, reps, seed=7):
         streams_t,
         _,
     ) in zip(solo, tensor_results, stream_pairs):
-        s_runs = engine_s.run_batch(streams_s, horizon, predicate)
+        s_runs = solo_runs(engine_s, streams_s, horizon, predicate)
         out.append(
             (
                 t_runs,
@@ -143,13 +151,16 @@ def test_biased_sweep_bit_identical():
         refs.append((engine_s, streams_s, predicate, places))
     results = MultiPointContext(jobs).run()
     weights = set()
-    for (engine_s, streams_s, predicate, places), t_runs in zip(
-        refs, results
+    for job, (engine_s, streams_s, predicate, places), t_runs in zip(
+        jobs, refs, results
     ):
-        s_runs = engine_s.run_batch(streams_s, 10.0, predicate)
+        s_runs = solo_runs(engine_s, streams_s, 10.0, predicate)
         for run_t, run_s in zip(t_runs, s_runs):
             assert_runs_identical(run_s, run_t, places)
             weights.add(run_t.weight)
+        assert [s.draw_count for s in job.streams] == [
+            s.draw_count for s in streams_s
+        ]
     assert any(w != 1.0 for w in weights)  # bias actually engaged
 
 
@@ -185,10 +196,13 @@ def test_shared_engine_jobs_bit_identical():
     fired = 0
     for k, t_runs in enumerate(results):
         streams_s = StreamFactory(5).stream_batch(f"chunk{k}", 3)
-        s_runs = engine_s.run_batch(streams_s, 8.0, predicate)
+        s_runs = solo_runs(engine_s, streams_s, 8.0, predicate)
         for run_t, run_s in zip(t_runs, s_runs):
             assert_runs_identical(run_s, run_t, places)
             fired += run_t.firings
+        assert [s.draw_count for s in jobs[k].streams] == [
+            s.draw_count for s in streams_s
+        ]
     # kernel-event telemetry flushes exactly the timed firings executed
     assert engine_t.fired_events - before == fired
 
@@ -199,14 +213,14 @@ def test_shared_engine_jobs_bit_identical():
 def test_tensor_compatible_verdicts():
     stepped, _, _, _ = make_point(2)
     assert tensor_compatible(stepped) is None
-    batched = BatchedJumpEngine(make_ahs(2).model)
-    assert "stepped" in tensor_compatible(batched)
+    compiled = CompiledJumpEngine(make_ahs(2).model)
+    assert "stepped" in tensor_compatible(compiled)
 
 
 def test_incompatible_job_rejected():
-    batched = BatchedJumpEngine(make_ahs(2).model)
+    compiled = CompiledJumpEngine(make_ahs(2).model)
     job = MultiPointJob(
-        batched, StreamFactory(1).stream_batch("x", 2), 5.0, None
+        compiled, StreamFactory(1).stream_batch("x", 2), 5.0, None
     )
     with pytest.raises(ValueError, match="cannot be tensorized"):
         MultiPointContext([job])

@@ -7,8 +7,8 @@ code.  These tests hold it to the engine's equivalence contract: runs
 are bit-identical to the interpreted oracle and to the same engine with
 the memo off (``_MEMO_CAP = 0``) — on the AHS models at several sizes
 and strategies, biased or not, from splitting-pool markings, with an
-observer attached, and under forced evictions — and the negative-rate
-guard and the extended-place exclusion still hold.
+observer attached, and under forced evictions — and the negative- and
+NaN-rate guards and the extended-place exclusion still hold.
 """
 
 from __future__ import annotations
@@ -243,6 +243,62 @@ def test_negative_rate_raises_and_memo_is_not_poisoned():
         short = replay(engine, seed, 3, 0.3)
         assert short == replay(CompiledJumpEngine(model), seed, 3, 0.3)
         assert short == replay(MarkovJumpSimulator(model), seed, 3, 0.3)
+
+
+def make_nan_model(gate_open: bool = True):
+    """Two places; ``leak``'s rate is NaN once ``dst`` holds two tokens.
+
+    With ``gate_open`` the leak is enabled whenever ``dst`` is marked, so
+    the NaN rate is evaluated and must raise.  Otherwise its gate can
+    never hold (there are only three tokens), its rate is never
+    evaluated, and the model shuttles tokens until the horizon.
+    """
+    src, dst = Place("src", 3), Place("dst", 0)
+    threshold = 0 if gate_open else 3
+    model = SANModel("nan-rate")
+    for name, a, b in (("move", src, dst), ("back", dst, src)):
+        model.add_activity(
+            TimedActivity(name, rate=1.0, input_gates=[input_arc(a)],
+                          cases=[Case(1.0, [output_arc(b)])])
+        )
+    model.add_activity(
+        TimedActivity(
+            "leak",
+            rate=MarkingFunction(
+                {"d": dst}, lambda g: math.nan if g["d"] >= 2 else 0.5
+            ),
+            input_gates=[
+                InputGate("IG_leak", {"d": dst},
+                          lambda g: g["d"] > threshold,
+                          lambda g: g.dec("d"))
+            ],
+            cases=[Case(1.0, [output_arc(src)])],
+        )
+    )
+    return model
+
+
+def test_nan_rate_raises_and_memo_is_not_poisoned():
+    model = make_nan_model()
+    engine = CompiledJumpEngine(model)
+    leak = [a.name for a in engine.compiled.timed].index("leak")
+    table = engine._memo_tables[leak]
+    oracle = MarkovJumpSimulator(model)
+    for seed in (1, 2):
+        with pytest.raises(ValueError, match="rate is NaN") as got:
+            engine.run(StreamFactory(seed).stream("nan"), 100.0)
+        with pytest.raises(ValueError, match="rate is NaN") as want:
+            oracle.run(StreamFactory(seed).stream("nan"), 100.0)
+        assert str(got.value) == str(want.value)
+        # keys are dst values; the failing dst = 2 stored nothing
+        assert {key[0] for key in table} == {0, 1}
+        assert not any(math.isnan(value) for value, _ in table.values())
+    # behind a false gate the NaN rate is never evaluated
+    gated = make_nan_model(gate_open=False)
+    for seed in (5, 6):
+        runs = replay(CompiledJumpEngine(gated), seed, 3, 20.0)
+        assert runs == replay(MarkovJumpSimulator(gated), seed, 3, 20.0)
+        assert all(run[0] == 20.0 for run in runs[0])
 
 
 def test_extended_place_readers_are_never_memoised():

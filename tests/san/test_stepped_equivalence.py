@@ -7,10 +7,10 @@ refresh — but promises *exactly* the per-stream results of
 :class:`~repro.san.compiled.CompiledJumpEngine`: same draw order, same
 selections, same importance-sampling likelihood-ratio weights, at any
 batch size.  This suite enforces the contract on the same model zoo as
-``test_batched_equivalence.py``, plus the stepped-specific machinery:
-table bound growth, negative-rate parity, per-row fallback rows inside
-a stepped batch, and the zero-fallback guarantee on every built-in AHS
-strategy (the issue's VEC001–VEC003 criterion).
+``test_batched_equivalence.py`` at wider batches, plus the machinery of
+the step loop: table bound growth, negative- and NaN-rate parity,
+per-row fallback rows inside a batch, and the zero-fallback guarantee
+on every built-in AHS strategy (lint rules VEC001–VEC003).
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from repro.core.coordination import Strategy
 from repro.core.parameters import AHSParameters
 from repro.rare import FailureBiasing
 from repro.san import (
-    BatchedJumpEngine,
     Case,
     CompiledJumpEngine,
+    MarkovJumpSimulator,
     Place,
     SANModel,
     SteppedJumpEngine,
@@ -42,6 +42,7 @@ from repro.san.rewards import RateReward
 from repro.stochastic import StreamFactory
 
 from tests.conftest import make_two_state_model
+from tests.san.test_refresh_memo import make_nan_model
 from tests.san.test_compiled_equivalence import (
     assert_runs_identical,
     make_branchy_model,
@@ -317,6 +318,39 @@ def test_negative_rate_raises_like_direct_refresh():
         engine.run_batch(StreamFactory(1).stream_batch("neg", 4), 50.0)
 
 
+@pytest.mark.parametrize("width", [1, 64])
+def test_nan_rate_raises_like_the_oracle(width):
+    """An enabled activity whose rate turns NaN raises on every engine at
+    the same seed, with the oracle's message; one behind a false gate is
+    never evaluated and runs to the horizon everywhere."""
+    model = make_nan_model()
+    for seed in (1, 2):
+        messages = set()
+        for engine in (
+            MarkovJumpSimulator(model),
+            CompiledJumpEngine(model),
+            SteppedJumpEngine(model, batch_size=width),
+        ):
+            streams = StreamFactory(seed).stream_batch("nan", width)
+            with pytest.raises(ValueError, match="rate is NaN") as got:
+                if isinstance(engine, SteppedJumpEngine):
+                    engine.run_batch(streams, 100.0)
+                else:
+                    engine.run(streams[0], 100.0)
+            messages.add(str(got.value))
+        assert messages == {"activity 'leak': rate is NaN"}
+
+    gated = make_nan_model(gate_open=False)
+    runs_a, runs_b, draws_a, draws_b = run_stepped_both(
+        gated, seed=3, horizon=50.0, n_streams=width, batch_size=width
+    )
+    assert_batch_identical(runs_a, runs_b, draws_a, draws_b, gated.places)
+    oracle = MarkovJumpSimulator(gated)
+    for stream, run in zip(StreamFactory(3).stream_batch("eq", width), runs_a):
+        assert_runs_identical(oracle.run(stream, 50.0), run, gated.places)
+        assert run.end_time == 50.0 and run.firings > 0
+
+
 # ----------------------------------------------------------------------
 # zero-fallback guarantee on the built-in AHS models (issue satellite)
 # ----------------------------------------------------------------------
@@ -324,7 +358,7 @@ def test_negative_rate_raises_like_direct_refresh():
 @pytest.mark.parametrize("n", [5, 10, 20])
 def test_ahs_models_fully_lowered(strategy, n):
     """VEC001–VEC003 clean: every built-in AHS model at paper-scale n
-    lowers completely on the batch engines — no `_CannotLower` fallbacks,
+    lowers completely on the stepped engine — no `_CannotLower` fallbacks,
     whole-step insta gating, and every rate group tabulated."""
     ahs = build_composed_model(
         AHSParameters(max_platoon_size=n, strategy=strategy)
@@ -348,7 +382,6 @@ def test_make_jump_engine_dispatch_stepped():
     model, _up, _down = make_two_state_model()
     engine = make_jump_engine(model, engine="stepped", batch_size=32)
     assert isinstance(engine, SteppedJumpEngine)
-    assert isinstance(engine, BatchedJumpEngine)
     assert engine.batch_size == 32
     assert engine.engine_name == "stepped"
 
